@@ -31,14 +31,14 @@ import csv
 import hashlib
 import io
 import json
-import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import dotprod
 from .channel import DEFAULT_SIZE_MODEL, SERVER_ID, ServerMailbox, SizeModel
 from .protocol import (
+    PHASES,
     R_AGG,
     R_FINAL,
     R_MODEL,
@@ -49,16 +49,9 @@ from .protocol import (
     build_sessions,
     run_iteration,
 )
+from .simulation import packing_rule
 
 ROUNDS = (R_MODEL, R_SHARE, R_RESHARE, R_FINAL, R_AGG)
-
-
-def packing_rule(n_clients: int) -> tuple[int, int]:
-    """Default pack width and degree: a tenth and four tenths of the
-    population (mirrors `simulation.packing_rule`)."""
-    pack = -(-n_clients // 10)
-    degree = max((2 * n_clients) // 5, pack)
-    return pack, degree
 
 
 def config_hash(params: dict) -> str:
@@ -238,7 +231,7 @@ def expand_plan(plan: CommPlan, n_clients: int):
 
 
 # ---------------------------------------------------------------------------
-# Phase-timed iteration (computation benchmark)
+# Sweeps
 # ---------------------------------------------------------------------------
 
 
@@ -252,64 +245,6 @@ class CostRecord:
     pack: int
     degree: int
     kind: str
-
-
-# phase -> (role, description)
-PHASES = {
-    "model": "server",
-    "intake": "client",
-    "share": "client",
-    "forward_shares": "server",
-    "reshare": "client",
-    "forward_reshares": "server",
-    "final": "client",
-    "decode": "server",
-    "aggregate": "client",
-    "recover": "server",
-}
-
-
-def timed_iteration(cfg: ProtocolConfig, seed: int = 0):
-    """One honest iteration with a wall-clock split per protocol phase.
-    Returns (RoundResult, {phase: seconds})."""
-    server, clients = build_sessions(cfg)
-    mailbox = ServerMailbox()
-    weights, grads, root = _honest_inputs(cfg, seed)
-    ids = sorted(clients)
-    t: dict[str, float] = {}
-
-    def clock(name: str, fn):
-        t0 = time.perf_counter()
-        out = fn()
-        t[name] = t.get(name, 0.0) + (time.perf_counter() - t0)
-        return out
-
-    clock("model", lambda: mailbox.submit_all(server.begin_iteration(0, weights, root, ids)))
-    for pid in ids:
-        clients[pid].begin_iteration(0)
-        envs = mailbox.deliver(pid, R_MODEL)
-        clock("intake", lambda: [clients[pid].handle_model(e) for e in envs])
-    for pid in ids:
-        clock("share", lambda: mailbox.submit_all(clients[pid].round_share(grads[pid])))
-    clock("forward_shares", lambda: server.forward_commits(mailbox, R_SHARE))
-    for pid in ids:
-        envs = mailbox.deliver(pid, R_SHARE)
-        clock("reshare", lambda: mailbox.submit_all(clients[pid].round_reshare(envs)))
-    clock("forward_reshares", lambda: server.forward_commits(mailbox, R_RESHARE))
-    for pid in ids:
-        envs = mailbox.deliver(pid, R_RESHARE)
-        clock("final", lambda: mailbox.submit_all(clients[pid].round_final(envs)))
-    clock("decode", lambda: mailbox.submit_all(server.collect_finals(mailbox)))
-    for pid in ids:
-        envs = mailbox.deliver(pid, R_FINAL)
-        clock("aggregate", lambda: [mailbox.submit_all(clients[pid].round_aggregate(e)) for e in envs])
-    result = clock("recover", lambda: server.collect_aggregates(mailbox))
-    return result, t
-
-
-# ---------------------------------------------------------------------------
-# Sweeps
-# ---------------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -412,7 +347,8 @@ def sweep_comp(
     seed: int = 0,
     iterations: int = 1,
 ) -> list[CostRecord]:
-    """Measured per-phase wall clock at each (feasible, desk-scale) point."""
+    """Measured per-phase wall clock at each (feasible, desk-scale) point,
+    as clocked by `run_iteration` during `measure_comm`."""
     records: list[CostRecord] = []
     for point in points:
         pack, degree = point.resolve()
@@ -422,8 +358,8 @@ def sweep_comp(
             continue
         totals: dict[str, float] = {}
         for it in range(iterations):
-            _, t = timed_iteration(cfg, seed + it)
-            for phase, s in t.items():
+            _, _, result = measure_comm(cfg, seed + it)
+            for phase, s in result.phase_seconds.items():
                 totals[phase] = totals.get(phase, 0.0) + s
         for phase, role in PHASES.items():
             records.append(

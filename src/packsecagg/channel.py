@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import json
 import struct
 from collections import defaultdict
 from dataclasses import dataclass, field, replace
@@ -103,14 +102,6 @@ def pad_to(data: bytes, width: int) -> bytes:
     if len(data) > width:
         raise ChannelError(f"value needs {len(data)} bytes, width is {width}")
     return data + b"\x00" * (width - len(data))
-
-
-def encode_uint(value: int, width: int) -> bytes:
-    return int(value).to_bytes(width, "little")
-
-
-def decode_uint(data: bytes) -> int:
-    return int.from_bytes(data, "little")
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +281,6 @@ class ServerMailbox:
         self,
         silenced: dict[int, int] | None = None,
         tamper_rules: list[TamperRule] | None = None,
-        transcript_path: str | None = None,
     ):
         self.silenced = dict(silenced or {})
         self.tamper_rules = list(tamper_rules or [])
@@ -298,25 +288,10 @@ class ServerMailbox:
         self.up_bytes: dict[tuple[int, int], int] = defaultdict(int)
         self.down_bytes: dict[tuple[int, int], int] = defaultdict(int)
         self.message_count = 0
-        self._transcript = open(transcript_path, "w") if transcript_path else None
-
-    def close(self) -> None:
-        if self._transcript:
-            self._transcript.close()
-            self._transcript = None
 
     def is_silent(self, party: int, rnd: int) -> bool:
         cutoff = self.silenced.get(party)
         return cutoff is not None and rnd >= cutoff
-
-    def _log(self, env_round: int, sender: int, recipient: int, nbytes: int) -> None:
-        if self._transcript:
-            self._transcript.write(
-                json.dumps(
-                    {"round": env_round, "sender": sender, "recipient": recipient, "bytes": nbytes}
-                )
-                + "\n"
-            )
 
     def submit(self, env: Envelope) -> bool:
         """Accept an envelope for forwarding; drops silently if the sender or
@@ -330,7 +305,6 @@ class ServerMailbox:
                 rule.hits += 1
         self.up_bytes[(env.sender, env.round)] += len(wire)
         self.message_count += 1
-        self._log(env.round, env.sender, env.recipient, len(wire))
         if not self.is_silent(env.recipient, env.round):
             self._store[(env.recipient, env.round)].append(Envelope.from_wire(wire))
         return True
@@ -360,7 +334,6 @@ class ServerMailbox:
         self.up_bytes[(sender, rnd)] += nbytes
         self.down_bytes[(recipient, rnd)] += nbytes
         self.message_count += 1
-        self._log(rnd, sender, recipient, nbytes)
 
     # -- queries ------------------------------------------------------------
 
@@ -378,10 +351,3 @@ class ServerMailbox:
         for (_, rnd), v in self.up_bytes.items():
             out[rnd] += v
         return dict(out)
-
-    def snapshot(self) -> dict:
-        return {
-            "messages": self.message_count,
-            "up": {f"{pid}:{rnd}": v for (pid, rnd), v in sorted(self.up_bytes.items())},
-            "down": {f"{pid}:{rnd}": v for (pid, rnd), v in sorted(self.down_bytes.items())},
-        }

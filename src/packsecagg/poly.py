@@ -33,15 +33,6 @@ def poly_eval(c: list[int], x: int, p: int) -> int:
     return acc
 
 
-def poly_add(a: list[int], b: list[int], p: int) -> list[int]:
-    n = max(len(a), len(b))
-    return [((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p for i in range(n)]
-
-
-def poly_scale(a: list[int], k: int, p: int) -> list[int]:
-    return [c * k % p for c in a]
-
-
 def poly_mul(a: list[int], b: list[int], p: int) -> list[int]:
     out = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
@@ -100,11 +91,6 @@ def lagrange_weights_at(xs: list[int], x0: int, p: int) -> list[int]:
     return weights
 
 
-def lagrange_interpolate_at(xs: list[int], ys: list[int], x0: int, p: int) -> int:
-    w = lagrange_weights_at(xs, x0, p)
-    return sum(wi * yi for wi, yi in zip(w, ys)) % p
-
-
 def lagrange_coeffs(xs: list[int], ys: list[int], p: int) -> list[int]:
     """Full coefficient vector of the interpolating polynomial (O(n^2))."""
     n = len(xs)
@@ -126,37 +112,6 @@ def lagrange_coeffs(xs: list[int], ys: list[int], p: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # Dense exact linear algebra mod p
 # ---------------------------------------------------------------------------
-
-
-def gauss_solve(rows: list[list[int]], rhs: list[int], p: int) -> list[int] | None:
-    """Solve A x = b; returns one solution (free variables = 0) or None."""
-    n = len(rows)
-    m = len(rows[0]) if n else 0
-    a = [[rows[i][j] % p for j in range(m)] + [rhs[i] % p] for i in range(n)]
-    pivots: list[tuple[int, int]] = []
-    r = 0
-    for col in range(m):
-        sel = next((i for i in range(r, n) if a[i][col]), None)
-        if sel is None:
-            continue
-        a[r], a[sel] = a[sel], a[r]
-        inv = f_inv(a[r][col], p)
-        a[r] = [v * inv % p for v in a[r]]
-        for i in range(n):
-            if i != r and a[i][col]:
-                f = a[i][col]
-                a[i] = [(vi - f * vr) % p for vi, vr in zip(a[i], a[r])]
-        pivots.append((r, col))
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if a[i][m]:
-            return None
-    x = [0] * m
-    for row, col in pivots:
-        x[col] = a[row][m]
-    return x
 
 
 def nullspace_vector(rows: list[list[int]], p: int) -> list[int] | None:

@@ -34,6 +34,8 @@ from __future__ import annotations
 import hashlib
 import math
 import struct
+import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property, lru_cache
 
@@ -78,6 +80,20 @@ R_SHARE = 1
 R_RESHARE = 2
 R_FINAL = 3
 R_AGG = 4
+
+# phase -> role; `run_iteration` clocks each one into `RoundResult.phase_seconds`
+PHASES = {
+    "model": "server",
+    "intake": "client",
+    "share": "client",
+    "forward_shares": "server",
+    "reshare": "client",
+    "forward_reshares": "server",
+    "final": "client",
+    "decode": "server",
+    "aggregate": "client",
+    "recover": "server",
+}
 
 
 class ProtocolError(Exception):
@@ -262,11 +278,6 @@ class _Reader:
     def u8(self) -> int:
         (v,) = struct.unpack_from("<B", self.buf, self.off)
         self.off += 1
-        return v
-
-    def u16(self) -> int:
-        (v,) = struct.unpack_from("<H", self.buf, self.off)
-        self.off += 2
         return v
 
     def u32(self) -> int:
@@ -475,6 +486,8 @@ class RoundResult:
     flagged: list[int]
     offenders: list[int]
     respondents: dict[int, list[int]] = dc_field(default_factory=dict)
+    # wall-clock seconds per entry of PHASES, summed over all parties
+    phase_seconds: dict[str, float] = dc_field(default_factory=dict)
 
 
 @dataclass
@@ -937,23 +950,32 @@ class ServerSession:
 
     def forward_commits(self, mailbox: ServerMailbox, rnd: int) -> list[int]:
         got = self._collect(mailbox, rnd, T_COMMIT if rnd == R_SHARE else T_RECOMMIT)
+        # a signed body that does not parse makes its sender a non-respondent
+        reports: dict[int, list[int]] = {}
+        for sender, (env, body) in got.items():
+            r = _Reader(body)
+            r.u8(), r.u32()
+            try:
+                _read_commit_limbs(r, self.cfg.size_model.commitment_bytes)
+                reported = r.ids() if rnd == R_RESHARE else []
+                r.done()
+            except (ProtocolError, struct.error):
+                continue
+            reports[sender] = reported
         # every broadcast goes to every client, including back to its sender:
         # the echo is how a client confirms it is part of the shared layout
-        for sender, (env, _) in got.items():
+        for sender in reports:
             for peer in self.roster0:
-                mailbox.forward(env, peer)
-        respondents = sorted(got.keys())
+                mailbox.forward(got[sender][0], peer)
+        respondents = sorted(reports)
         self.respondents[rnd] = respondents
         self._check_quorum(respondents, rnd)
         if rnd == R_SHARE:
             self.layout = respondents
         if rnd == R_RESHARE:
             votes: dict[int, int] = {}
-            for sender, (env, body) in got.items():
-                r = _Reader(body)
-                r.u8(), r.u32()
-                _read_commit_limbs(r, self.cfg.size_model.commitment_bytes)
-                for uid in r.ids():
+            for sender, reported in reports.items():
+                for uid in reported:
                     if uid != sender:
                         votes[uid] = votes.get(uid, 0) + 1
             self.excluded = sorted(
@@ -1092,49 +1114,69 @@ def run_iteration(
     """Drive one full iteration through the mailbox.
 
     `gradients` supplies each client's local gradient; clients missing from it
-    or silenced by the mailbox schedule sit out from that round onward.
+    or silenced by the mailbox schedule sit out from that round onward.  The
+    result carries the wall-clock seconds spent in each of `PHASES`.
     """
     roster0 = sorted(clients.keys())
     _MEMO.clear()
     dead: set[int] = set()
+    seconds = dict.fromkeys(PHASES, 0.0)
+
+    @contextmanager
+    def clock(phase: str):
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            seconds[phase] += time.perf_counter() - t0
 
     def active(pid: int, rnd: int) -> bool:
         return pid in gradients and pid not in dead and not mailbox.is_silent(pid, rnd)
 
-    def step(pid: int, fn, *args) -> None:
+    def step(phase: str, pid: int, fn, *args) -> None:
         # a client that cannot serve a round consistently goes quiet instead
         # of fabricating values; server-side aborts still end the iteration
-        try:
-            mailbox.submit_all(fn(*args))
-        except ProtocolAbort:
-            dead.add(pid)
+        with clock(phase):
+            try:
+                mailbox.submit_all(fn(*args))
+            except ProtocolAbort:
+                dead.add(pid)
 
-    mailbox.submit_all(server.begin_iteration(iteration, weights, root_gradient, roster0))
+    with clock("model"):
+        mailbox.submit_all(server.begin_iteration(iteration, weights, root_gradient, roster0))
     for pid in roster0:
         clients[pid].begin_iteration(iteration)
         if active(pid, R_MODEL):
-            try:
-                for env in mailbox.deliver(pid, R_MODEL):
-                    clients[pid].handle_model(env)
-            except ProtocolAbort:
-                dead.add(pid)
+            envs = mailbox.deliver(pid, R_MODEL)
+            with clock("intake"):
+                try:
+                    for env in envs:
+                        clients[pid].handle_model(env)
+                except ProtocolAbort:
+                    dead.add(pid)
     for pid in roster0:
         if active(pid, R_SHARE):
-            step(pid, clients[pid].round_share, gradients[pid])
-    server.forward_commits(mailbox, R_SHARE)
+            step("share", pid, clients[pid].round_share, gradients[pid])
+    with clock("forward_shares"):
+        server.forward_commits(mailbox, R_SHARE)
     for pid in roster0:
         if active(pid, R_RESHARE):
-            step(pid, clients[pid].round_reshare, mailbox.deliver(pid, R_SHARE))
-    server.forward_commits(mailbox, R_RESHARE)
+            step("reshare", pid, clients[pid].round_reshare, mailbox.deliver(pid, R_SHARE))
+    with clock("forward_reshares"):
+        server.forward_commits(mailbox, R_RESHARE)
     for pid in roster0:
         if active(pid, R_FINAL):
-            step(pid, clients[pid].round_final, mailbox.deliver(pid, R_RESHARE))
-    mailbox.submit_all(server.collect_finals(mailbox))
+            step("final", pid, clients[pid].round_final, mailbox.deliver(pid, R_RESHARE))
+    with clock("decode"):
+        mailbox.submit_all(server.collect_finals(mailbox))
     for pid in roster0:
         if active(pid, R_AGG):
             for env in mailbox.deliver(pid, R_FINAL):
-                step(pid, clients[pid].round_aggregate, env)
-    return server.collect_aggregates(mailbox)
+                step("aggregate", pid, clients[pid].round_aggregate, env)
+    with clock("recover"):
+        result = server.collect_aggregates(mailbox)
+    result.phase_seconds = seconds
+    return result
 
 
 def build_sessions(

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import hashlib
 import io
-import time
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 
@@ -309,9 +308,9 @@ def trimmed_mean(vectors: list[np.ndarray], trim_ratio: float) -> np.ndarray:
 class Metrics:
     """Full trajectory of one experiment.
 
-    Everything except `phase_seconds` is a deterministic function of the
-    (task, behaviors, protocol, seed) inputs; `to_csv` serializes exactly
-    that deterministic part, and `digest` hashes it.
+    Everything here is a deterministic function of the (task, behaviors,
+    protocol, seed) inputs; `to_csv` serializes the per-iteration records,
+    and `digest` hashes them.
     """
 
     protocol: str
@@ -326,7 +325,6 @@ class Metrics:
     bytes_sent: dict[tuple[int, int], int] = dc_field(default_factory=dict)
     bytes_received: dict[tuple[int, int], int] = dc_field(default_factory=dict)
     weights: np.ndarray | None = None
-    phase_seconds: dict[str, float] = dc_field(default_factory=dict)
 
     @property
     def final_accuracy(self) -> float:
@@ -349,7 +347,7 @@ class Metrics:
         )
 
     def to_csv(self) -> str:
-        """Deterministic per-iteration records (timings excluded)."""
+        """Deterministic per-iteration records."""
         buf = io.StringIO()
         buf.write("protocol,seed,iteration,accuracy,mean_trust_honest,mean_trust_attacker,")
         buf.write("excluded,offenders,abort\n")
@@ -463,7 +461,6 @@ def run_experiment(
     pack: int | None = None,
     response_threshold: int | None = None,
     report_threshold: int | None = None,
-    transcript_path: str | None = None,
 ) -> Metrics:
     """Train a linear model for `n_iterations` under one aggregation rule.
 
@@ -500,7 +497,7 @@ def run_experiment(
         silenced = {
             pid: b.dropout_round for pid, b in bmap.items() if b.kind == "dropout"
         }
-        mailbox = ServerMailbox(silenced=silenced, transcript_path=transcript_path)
+        mailbox = ServerMailbox(silenced=silenced)
     cap = cfg.max_norm if cfg is not None else 2.0
     scale = cfg.scale if cfg is not None else DEFAULT_SCALE
 
@@ -508,7 +505,6 @@ def run_experiment(
     test = task.test_dataset()
     w = np.zeros(task.dim)
     for t in range(n_iterations):
-        t0 = time.perf_counter()
         data = task.datasets_at(t)
         grads: dict[int, np.ndarray] = {}
         for pid, b in bmap.items():
@@ -517,7 +513,6 @@ def run_experiment(
             rng = np.random.default_rng([0xA77C, seed, t, pid])
             grads[pid] = _client_gradient(b, w, data[pid], task, rng)
         root_grad = _capped(local_gradient(w, root.x, root.y), cap)
-        t1 = time.perf_counter()
 
         update = np.zeros(task.dim)
         if protocol == "fedavg":
@@ -539,19 +534,12 @@ def run_experiment(
                 metrics.offender_history.append(sorted(set(res.offenders) | set(res.flagged)))
             except ProtocolAbort as exc:
                 metrics.aborts.append((t, str(exc)))
-        t2 = time.perf_counter()
 
         w = w - learn_rate * update
         metrics.accuracy.append(predict_accuracy(w, test.x, test.y))
-        t3 = time.perf_counter()
-        ph = metrics.phase_seconds
-        ph["gradients"] = ph.get("gradients", 0.0) + (t1 - t0)
-        ph["aggregate"] = ph.get("aggregate", 0.0) + (t2 - t1)
-        ph["evaluate"] = ph.get("evaluate", 0.0) + (t3 - t2)
 
     if mailbox is not None:
         metrics.bytes_sent = dict(mailbox.up_bytes)
         metrics.bytes_received = dict(mailbox.down_bytes)
-        mailbox.close()
     metrics.weights = w
     return metrics

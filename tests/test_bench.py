@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from packsecagg import bench
-from packsecagg.protocol import ProtocolConfig, ProtocolError
+from packsecagg.channel import ServerMailbox
+from packsecagg.protocol import (
+    PHASES,
+    R_FINAL,
+    ProtocolConfig,
+    ProtocolError,
+    build_sessions,
+    run_iteration,
+)
 
 
 def check_exact(cfg: ProtocolConfig, seed: int = 1):
@@ -98,18 +106,23 @@ def test_sweep_defers_to_predictor_when_too_large(monkeypatch):
     assert "too large" in rows[0]["note"]
 
 
-def test_timed_iteration_covers_phases_and_decodes():
+@pytest.mark.parametrize("silenced", [{}, {4: R_FINAL}], ids=["honest", "dropout_round3"])
+def test_run_iteration_clocks_every_phase(silenced):
     cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3)
-    result, t = bench.timed_iteration(cfg, seed=4)
-    assert set(t) == set(bench.PHASES)
-    assert all(s >= 0.0 for s in t.values())
+    server, clients = build_sessions(cfg)
+    weights, grads, root = bench._honest_inputs(cfg, 4)
+    mailbox = ServerMailbox(silenced=silenced)
+    result = run_iteration(cfg, server, clients, mailbox, 0, weights, grads, root)
+    assert set(result.phase_seconds) == set(PHASES)
+    assert all(s >= 0.0 for s in result.phase_seconds.values())
     assert result.denominator > 0 and len(result.numerators) == 10
+    assert result.respondents[R_FINAL] == [u for u in range(1, 11) if u not in silenced]
 
 
 def test_sweep_comp_records():
     records = bench.sweep_comp([bench.SweepPoint(8, 12, kind="packed"),
                                 bench.SweepPoint(8, 12, kind="unpacked")], iterations=1)
-    assert len(records) == 2 * len(bench.PHASES)
+    assert len(records) == 2 * len(PHASES)
     roles = {r.phase: r.role for r in records}
     assert roles["decode"] == "server" and roles["share"] == "client"
     rows = bench.records_to_rows(records)

@@ -124,15 +124,6 @@ def test_record_transfer_matches_real_submission():
     assert real.message_count == acct.message_count
 
 
-def test_transcript_written(tmp_path):
-    path = tmp_path / "log.jsonl"
-    mb = ServerMailbox(transcript_path=str(path))
-    mb.submit(Envelope(1, 0, 2, b"abc"))
-    mb.close()
-    line = path.read_text().strip()
-    assert '"sender": 1' in line and '"bytes": 16' in line
-
-
 def test_size_model_arithmetic():
     m = SizeModel()
     assert m.elems(10) == 4 + 80

@@ -11,15 +11,18 @@ the configured thresholds.
 import numpy as np
 import pytest
 
-from packsecagg.channel import ServerMailbox, TamperRule
+from packsecagg.channel import SERVER_ID, SIGNATURE_BYTES, Envelope, ServerMailbox, TamperRule
 from packsecagg.protocol import (
+    BROADCAST,
     ClientFlags,
     ProtocolAbort,
     ProtocolConfig,
     ProtocolError,
+    R_AGG,
     R_FINAL,
     R_RESHARE,
     R_SHARE,
+    _sig_context,
     build_sessions,
     normalize_and_quantize,
     plaintext_trust_step,
@@ -280,3 +283,25 @@ def test_corrupted_share_link_cannot_frame_or_spread():
     for u in range(1, 21):
         if u != 7:
             assert res.numerators[u] == oracle.numerators[u]
+
+
+def test_truncated_signed_reshare_broadcast_makes_a_non_respondent():
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    server, clients = build_sessions(cfg)
+    signer = clients[4].crypto
+
+    def truncate_and_resign(wire):
+        # a validly signed body that ends inside its reported-ids list
+        env = Envelope.from_wire(wire)
+        body = env.body[: len(env.body) - SIGNATURE_BYTES][:-3]
+        sig = signer.sign(_sig_context(4, BROADCAST, R_RESHARE, 0, body))
+        return Envelope(env.sender, env.recipient, env.round, body + sig).to_wire()
+
+    rule = TamperRule(round=R_RESHARE, sender=4, recipient=SERVER_ID, mutate=truncate_and_resign)
+    mailbox = ServerMailbox(tamper_rules=[rule])
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, mailbox, 0, weights, grads, root)
+    assert rule.hits == 1
+    for rnd in (R_RESHARE, R_FINAL, R_AGG):
+        assert 4 not in res.respondents[rnd]
+    assert_matches_oracle(res, grads, root, cfg.scale)
