@@ -3,7 +3,9 @@
 Every client holds a signing identity and a key-agreement identity.  Pairwise
 symmetric keys come from X25519 agreement run through HKDF; payloads that must
 stay hidden from the server travel inside AES-GCM with a deterministic
-never-reused nonce derived from (sender, recipient, round, iteration).
+never-reused nonce derived from (sender, recipient, round, iteration).  The
+nonce holds the iteration in 3 bytes, so one set of keys serves iterations
+0 .. MAX_ITERATIONS - 1; going further would reuse nonces and needs new keys.
 Signatures cover header and body so the relay cannot alter, redirect, or
 replay a message without detection.
 
@@ -50,6 +52,8 @@ HEADER_STRUCT = struct.Struct("<IIBI")  # sender, recipient, round, body length
 SIGNATURE_BYTES = 64
 GCM_TAG_BYTES = 16
 GCM_NONCE_BYTES = 12
+# iterations one set of pairwise keys can serve: the nonce's iteration field is 3 bytes
+MAX_ITERATIONS = 1 << 24
 
 
 class ChannelError(Exception):
@@ -179,6 +183,7 @@ class PairwiseBox:
 
     @staticmethod
     def _nonce(src: int, dst: int, rnd: int, iteration: int) -> bytes:
+        """12 bytes: sender, recipient, round, then iteration < MAX_ITERATIONS."""
         return struct.pack("<IIB", src, dst, rnd & 0xFF) + int(iteration).to_bytes(3, "little")
 
     def seal(self, rnd: int, iteration: int, plaintext: bytes, aad: bytes = b"") -> bytes:
@@ -334,6 +339,14 @@ class ServerMailbox:
         self.up_bytes[(sender, rnd)] += nbytes
         self.down_bytes[(recipient, rnd)] += nbytes
         self.message_count += 1
+
+    def discard_undelivered(self) -> int:
+        """Drop every envelope still queued (addressed to a party that never
+        collected it) and return how many there were.  Downloads are metered
+        at delivery, so the byte counters do not change."""
+        dropped = sum(len(q) for q in self._store.values())
+        self._store.clear()
+        return dropped
 
     # -- queries ------------------------------------------------------------
 

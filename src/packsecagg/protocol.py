@@ -52,6 +52,7 @@ from .channel import (
     ServerMailbox,
     SizeModel,
     DEFAULT_SIZE_MODEL,
+    MAX_ITERATIONS,
 )
 from .field import (
     DEFAULT_SCALE,
@@ -59,6 +60,7 @@ from .field import (
     check_aggregate_capacity,
     check_capacity,
 )
+from .rsdecode import DecodingError
 from .sharing import SharingConfig, deserialize_elems, serialize_elems, share_batch
 from .vss import Commitment, Witness, make_scheme
 
@@ -271,33 +273,39 @@ def plaintext_trust_step(
 
 
 class _Reader:
+    """Cursor over a message body; every read checks the remaining length, so
+    a short body raises ProtocolError and nothing else."""
+
+    _U8, _U32, _U64, _F64 = (struct.Struct(f) for f in ("<B", "<I", "<Q", "<d"))
+
     def __init__(self, buf: bytes):
         self.buf = buf
         self.off = 0
 
-    def u8(self) -> int:
-        (v,) = struct.unpack_from("<B", self.buf, self.off)
-        self.off += 1
-        return v
-
-    def u32(self) -> int:
-        (v,) = struct.unpack_from("<I", self.buf, self.off)
-        self.off += 4
-        return v
-
-    def u64(self) -> int:
-        (v,) = struct.unpack_from("<Q", self.buf, self.off)
-        self.off += 8
-        return v
-
-    def f64(self) -> float:
-        (v,) = struct.unpack_from("<d", self.buf, self.off)
-        self.off += 8
-        return v
-
-    def raw(self, n: int) -> bytes:
+    def need(self, n: int) -> None:
         if self.off + n > len(self.buf):
             raise ProtocolError("message truncated")
+
+    def _unpack(self, fmt: struct.Struct):
+        self.need(fmt.size)
+        (v,) = fmt.unpack_from(self.buf, self.off)
+        self.off += fmt.size
+        return v
+
+    def u8(self) -> int:
+        return self._unpack(self._U8)
+
+    def u32(self) -> int:
+        return self._unpack(self._U32)
+
+    def u64(self) -> int:
+        return self._unpack(self._U64)
+
+    def f64(self) -> float:
+        return self._unpack(self._F64)
+
+    def raw(self, n: int) -> bytes:
+        self.need(n)
         out = self.buf[self.off : self.off + n]
         self.off += n
         return out
@@ -306,7 +314,9 @@ class _Reader:
         return self.raw(self.u32())
 
     def elems(self) -> np.ndarray:
-        arr, self.off = deserialize_elems(self.buf, self.off)
+        start = self.off
+        self.need(8 * self.u32())
+        arr, self.off = deserialize_elems(self.buf, start)
         return arr
 
     def ids(self) -> list[int]:
@@ -315,6 +325,7 @@ class _Reader:
 
     def floats(self) -> np.ndarray:
         n = self.u32()
+        self.need(8 * n)
         out = np.frombuffer(self.buf, dtype="<f8", count=n, offset=self.off).copy()
         self.off += 8 * n
         return out
@@ -353,6 +364,7 @@ def _read_commit_limbs(r: _Reader, width: int) -> np.ndarray:
     n = r.u32()
     if n == 0:
         return np.zeros((0, 0, width // 8), dtype=np.uint64)
+    r.need(2)
     (k,) = struct.unpack_from("<H", r.buf, r.off)
     stride = 2 + k * width
     flat = np.frombuffer(r.raw(n * stride), dtype=np.uint8).reshape(n, stride)
@@ -687,7 +699,7 @@ class ClientSession:
             body = bcast[sender]
             try:
                 limbs = _MEMO.commit_limbs(body, cfg.size_model.commitment_bytes)
-            except (ProtocolError, struct.error):
+            except ProtocolError:
                 bad.append(sender)
                 continue
             # the digest binds shares to the exact commitment broadcast bytes
@@ -698,12 +710,11 @@ class ClientSession:
                 continue
             try:
                 raw = env.body
-                (slen,) = struct.unpack_from("<I", raw, 5)
-                end = 9 + slen
-                sealed = raw[9:end]
-                sig = raw[end:]
-                if len(sealed) != slen or len(sig) != SIGNATURE_BYTES:
-                    raise ProtocolError("malformed share bundle")
+                r = _Reader(raw)
+                r.raw(5)
+                sealed = r.blob()
+                sig = r.raw(SIGNATURE_BYTES)
+                r.done()
                 body_d = raw[: len(raw) - SIGNATURE_BYTES]
                 if not self._check_sig(env, body_d + digest, sig, broadcast=False):
                     raise DecryptionError("signature")
@@ -717,7 +728,7 @@ class ClientSession:
                     raise ProtocolError("wrong polynomial count")
                 if (col >= cfg.prime).any():
                     raise ProtocolError("non-canonical share")
-            except (ProtocolError, DecryptionError, struct.error):
+            except (ProtocolError, DecryptionError):
                 bad.append(sender)
                 continue
             if self._fast:
@@ -959,7 +970,7 @@ class ServerSession:
                 _read_commit_limbs(r, self.cfg.size_model.commitment_bytes)
                 reported = r.ids() if rnd == R_RESHARE else []
                 r.done()
-            except (ProtocolError, struct.error):
+            except ProtocolError:
                 continue
             reports[sender] = reported
         # every broadcast goes to every client, including back to its sender:
@@ -991,16 +1002,22 @@ class ServerSession:
                 f"{self.cfg.min_respondents}"
             )
 
-    def collect_finals(self, mailbox: ServerMailbox) -> list[Envelope]:
-        cfg = self.cfg
-        got = self._collect(mailbox, R_FINAL, T_FINAL)
-        # voted-out clients are no longer participants; their finals would be
-        # built from self-trusted columns and only burn decoding budget
-        got = {s: v for s, v in got.items() if s in self.roster}
-        n_groups = dotprod.group_width(len(self.layout), cfg.reshare_pack)
-        n_polys = 2 * n_groups
+    def _decode_round(
+        self, mailbox: ServerMailbox, rnd: int, want_type: int, sharing: SharingConfig, n_polys: int
+    ) -> np.ndarray:
+        """Collect the roster's share vectors for a round and decode them.
+
+        A body that does not parse makes its sender a non-respondent; a vector
+        of the wrong length or with non-canonical elements, or one the decoder
+        corrects, makes it an offender.  More wrong vectors than the decoder
+        can correct abort the iteration.
+        """
         parties, rows = [], []
-        for sender, (env, body) in got.items():
+        for sender, (env, body) in self._collect(mailbox, rnd, want_type).items():
+            # voted-out clients are no longer participants; their vectors would
+            # be built from self-trusted columns and only burn decoding budget
+            if sender not in self.roster:
+                continue
             r = _Reader(body)
             r.u8(), r.u32()
             try:
@@ -1008,17 +1025,26 @@ class ServerSession:
                 r.done()
             except ProtocolError:
                 continue
-            if vals.size != n_polys or (vals >= cfg.prime).any():
+            if vals.size != n_polys or (vals >= self.cfg.prime).any():
                 self.offenders.add(sender)
                 continue
             parties.append(sender)
             rows.append(vals)
-        self.respondents[R_FINAL] = parties
-        self._check_quorum(parties, R_FINAL)
-        values, bad = dotprod.recover_packed_values(
-            cfg.reshare_cfg, parties, np.stack(rows), n_polys * cfg.reshare_pack
-        )
+        self.respondents[rnd] = parties
+        self._check_quorum(parties, rnd)
+        try:
+            values, bad = dotprod.recover_packed_values(
+                sharing, parties, np.stack(rows), n_polys * sharing.pack
+            )
+        except DecodingError as exc:
+            raise ProtocolAbort(f"round {rnd}: {exc}") from exc
         self.offenders.update(bad)
+        return values
+
+    def collect_finals(self, mailbox: ServerMailbox) -> list[Envelope]:
+        cfg = self.cfg
+        n_groups = dotprod.group_width(len(self.layout), cfg.reshare_pack)
+        values = self._decode_round(mailbox, R_FINAL, T_FINAL, cfg.reshare_cfg, 2 * n_groups)
         per_group = n_groups * cfg.reshare_pack
         cs = fastops.decode_signed_arr(values[:per_group][: len(self.layout)], cfg.prime)
         nr = fastops.decode_signed_arr(values[per_group:][: len(self.layout)], cfg.prime)
@@ -1048,28 +1074,7 @@ class ServerSession:
 
     def collect_aggregates(self, mailbox: ServerMailbox) -> RoundResult:
         cfg = self.cfg
-        got = self._collect(mailbox, R_AGG, T_AGG)
-        got = {s: v for s, v in got.items() if s in self.roster}
-        parties, rows = [], []
-        for sender, (env, body) in got.items():
-            r = _Reader(body)
-            r.u8(), r.u32()
-            try:
-                vals = r.elems()
-                r.done()
-            except ProtocolError:
-                continue
-            if vals.size != cfg.n_poly or (vals >= cfg.prime).any():
-                self.offenders.add(sender)
-                continue
-            parties.append(sender)
-            rows.append(vals)
-        self.respondents[R_AGG] = parties
-        self._check_quorum(parties, R_AGG)
-        values, bad = dotprod.recover_packed_values(
-            cfg.grad_cfg, parties, np.stack(rows), cfg.n_poly * cfg.pack
-        )
-        self.offenders.update(bad)
+        values = self._decode_round(mailbox, R_AGG, T_AGG, cfg.grad_cfg, cfg.n_poly)
         # values are strided-packed: rebuild the flat weighted-sum vector
         mat = values.reshape(cfg.n_poly, cfg.pack)
         flat = dotprod.unpack_strided(mat, cfg.dim)
@@ -1115,8 +1120,16 @@ def run_iteration(
 
     `gradients` supplies each client's local gradient; clients missing from it
     or silenced by the mailbox schedule sit out from that round onward.  The
-    result carries the wall-clock seconds spent in each of `PHASES`.
+    result carries the wall-clock seconds spent in each of `PHASES`.  Whatever
+    no party collected (envelopes to a client that fell silent) is dropped
+    from the mailbox before returning.  `iteration` must lie in
+    [0, MAX_ITERATIONS), the range one set of channel keys can serve.
     """
+    if not 0 <= iteration < MAX_ITERATIONS:
+        raise ProtocolError(
+            f"iteration {iteration} outside [0, {MAX_ITERATIONS}): the channel nonces "
+            "would repeat; rekey (build new sessions) to go further"
+        )
     roster0 = sorted(clients.keys())
     _MEMO.clear()
     dead: set[int] = set()
@@ -1142,41 +1155,44 @@ def run_iteration(
             except ProtocolAbort:
                 dead.add(pid)
 
-    with clock("model"):
-        mailbox.submit_all(server.begin_iteration(iteration, weights, root_gradient, roster0))
-    for pid in roster0:
-        clients[pid].begin_iteration(iteration)
-        if active(pid, R_MODEL):
-            envs = mailbox.deliver(pid, R_MODEL)
-            with clock("intake"):
-                try:
-                    for env in envs:
-                        clients[pid].handle_model(env)
-                except ProtocolAbort:
-                    dead.add(pid)
-    for pid in roster0:
-        if active(pid, R_SHARE):
-            step("share", pid, clients[pid].round_share, gradients[pid])
-    with clock("forward_shares"):
-        server.forward_commits(mailbox, R_SHARE)
-    for pid in roster0:
-        if active(pid, R_RESHARE):
-            step("reshare", pid, clients[pid].round_reshare, mailbox.deliver(pid, R_SHARE))
-    with clock("forward_reshares"):
-        server.forward_commits(mailbox, R_RESHARE)
-    for pid in roster0:
-        if active(pid, R_FINAL):
-            step("final", pid, clients[pid].round_final, mailbox.deliver(pid, R_RESHARE))
-    with clock("decode"):
-        mailbox.submit_all(server.collect_finals(mailbox))
-    for pid in roster0:
-        if active(pid, R_AGG):
-            for env in mailbox.deliver(pid, R_FINAL):
-                step("aggregate", pid, clients[pid].round_aggregate, env)
-    with clock("recover"):
-        result = server.collect_aggregates(mailbox)
-    result.phase_seconds = seconds
-    return result
+    try:
+        with clock("model"):
+            mailbox.submit_all(server.begin_iteration(iteration, weights, root_gradient, roster0))
+        for pid in roster0:
+            clients[pid].begin_iteration(iteration)
+            if active(pid, R_MODEL):
+                envs = mailbox.deliver(pid, R_MODEL)
+                with clock("intake"):
+                    try:
+                        for env in envs:
+                            clients[pid].handle_model(env)
+                    except ProtocolAbort:
+                        dead.add(pid)
+        for pid in roster0:
+            if active(pid, R_SHARE):
+                step("share", pid, clients[pid].round_share, gradients[pid])
+        with clock("forward_shares"):
+            server.forward_commits(mailbox, R_SHARE)
+        for pid in roster0:
+            if active(pid, R_RESHARE):
+                step("reshare", pid, clients[pid].round_reshare, mailbox.deliver(pid, R_SHARE))
+        with clock("forward_reshares"):
+            server.forward_commits(mailbox, R_RESHARE)
+        for pid in roster0:
+            if active(pid, R_FINAL):
+                step("final", pid, clients[pid].round_final, mailbox.deliver(pid, R_RESHARE))
+        with clock("decode"):
+            mailbox.submit_all(server.collect_finals(mailbox))
+        for pid in roster0:
+            if active(pid, R_AGG):
+                for env in mailbox.deliver(pid, R_FINAL):
+                    step("aggregate", pid, clients[pid].round_aggregate, env)
+        with clock("recover"):
+            result = server.collect_aggregates(mailbox)
+        result.phase_seconds = seconds
+        return result
+    finally:
+        mailbox.discard_undelivered()
 
 
 def build_sessions(

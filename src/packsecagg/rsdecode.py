@@ -6,6 +6,16 @@ the polynomial is recoverable whenever S + 2E + d + 1 <= n.  The decoder finds
 Q and L with Q(x_i) = y_i * L(x_i), deg Q <= d + e, deg L <= e, as a nonzero
 kernel vector of the induced linear system; the codeword polynomial is their
 exact quotient.  Honest inputs take a fast interpolate-and-verify path.
+
+Batches of codewords over one point set (`rs_decode_batch`) are treated as an
+interleaved code.  A party that computes wrongly corrupts its whole column, so
+the dirty rows share one error support.  One Berlekamp-Welch run on a random
+linear combination of the dirty rows locates that support: the union of the
+rows' supports, unless the random coefficients make an error cancel, which
+happens at each position with probability about 1/p.  The located positions
+are then erased, and every dirty row is interpolated from kept points and
+verified in one vectorized pass.  A row the pass cannot explain is decoded on its own, so the
+result never depends on the random coefficients: see `rs_decode_batch`.
 """
 
 from __future__ import annotations
@@ -131,9 +141,19 @@ def rs_decode_batch(
 ) -> list[DecodeResult]:
     """Decode many codewords sharing one evaluation-point set.
 
-    Rows of ys_mat are independent codewords over the same xs.  Clean rows are
-    recovered by one batched interpolate-and-verify pass; only rows with
-    disagreements fall back to the per-row Berlekamp-Welch decoder.
+    Rows of ys_mat are independent codewords over the same xs.  The result
+    equals `rs_decode` applied row by row: the same coefficients and error
+    positions, and a DecodingError wherever a row raises one.
+
+    Clean rows are recovered by one batched interpolate-and-verify pass.  The
+    dirty rows then go through `_decode_located`: a single decode of a random
+    combination of them locates the error positions E, and each dirty row is
+    re-interpolated with E erased.  A row that agrees with its interpolant on
+    every point outside E is within distance |E| <= error budget of a degree-d
+    polynomial; that codeword is unique, so per-row Berlekamp-Welch would
+    return it with the same disagreeing positions.  Rows the pass cannot
+    explain, or all dirty rows if the combined decode raises, fall back to the
+    per-row decoder.
     """
     ys_mat = np.atleast_2d(fastops.as_elems(ys_mat, p))
     n = len(xs)
@@ -146,10 +166,46 @@ def rs_decode_batch(
     coeff_mat = fastops.matmul_mod(ys_mat[:, : degree + 1], interp.T, p)
     evals = fastops.poly_eval_many(coeff_mat, xs, p)
     clean = (evals == ys_mat).all(axis=1)
-    out: list[DecodeResult] = []
-    for r in range(ys_mat.shape[0]):
-        if clean[r]:
-            out.append(DecodeResult(poly_trim([int(c) for c in coeff_mat[r]]), []))
-        else:
-            out.append(rs_decode(xs, [int(v) for v in ys_mat[r]], degree, p, error_budget))
+    out = [
+        DecodeResult(poly_trim([int(c) for c in row]), []) if ok else None
+        for row, ok in zip(coeff_mat, clean)
+    ]
+    dirty = np.flatnonzero(~clean)
+    if dirty.size:
+        for r, res in zip(dirty, _decode_located(xs, ys_mat[dirty], degree, p, error_budget)):
+            if res is None:
+                res = rs_decode(xs, [int(v) for v in ys_mat[r]], degree, p, error_budget)
+            out[r] = res
     return out
+
+
+def _mixing_coeffs(n: int, p: int) -> np.ndarray:
+    """Nonzero combination coefficients from unseeded OS entropy."""
+    return np.random.default_rng().integers(1, p, size=n, dtype=np.uint64)
+
+
+def _decode_located(
+    xs: list[int], ys_mat: np.ndarray, degree: int, p: int, error_budget: int | None
+) -> list[DecodeResult | None]:
+    """Decode dirty rows with their errors located once for the whole batch.
+
+    Returns one entry per row: its DecodeResult, or None where the row
+    disagrees outside the located positions; all None when the combined row
+    itself cannot be decoded.
+    """
+    mix = _mixing_coeffs(ys_mat.shape[0], p)
+    combined = fastops.matmul_mod(mix[None, :], ys_mat, p)[0]
+    try:
+        erased = set(rs_decode(xs, combined.tolist(), degree, p, error_budget).error_positions)
+    except DecodingError:
+        return [None] * ys_mat.shape[0]
+    kept = [i for i in range(len(xs)) if i not in erased]
+    head = kept[: degree + 1]
+    interp = _interp_matrix(tuple(xs[i] for i in head), p)
+    coeff_mat = fastops.matmul_mod(ys_mat[:, head], interp.T, p)
+    wrong = fastops.poly_eval_many(coeff_mat, xs, p) != ys_mat
+    explained = ~wrong[:, kept].any(axis=1)
+    return [
+        DecodeResult(poly_trim(coeffs.tolist()), np.flatnonzero(bad).tolist()) if ok else None
+        for coeffs, bad, ok in zip(coeff_mat, wrong, explained)
+    ]

@@ -8,10 +8,19 @@ computations the run contains, as long as the surviving honest set stays above
 the configured thresholds.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from packsecagg.channel import SERVER_ID, SIGNATURE_BYTES, Envelope, ServerMailbox, TamperRule
+from packsecagg.channel import (
+    MAX_ITERATIONS,
+    SERVER_ID,
+    SIGNATURE_BYTES,
+    Envelope,
+    ServerMailbox,
+    TamperRule,
+)
 from packsecagg.protocol import (
     BROADCAST,
     ClientFlags,
@@ -285,19 +294,25 @@ def test_corrupted_share_link_cannot_frame_or_spread():
             assert res.numerators[u] == oracle.numerators[u]
 
 
+def truncate_and_resign(signer, sender, context_recipient, rnd):
+    """Mutation that cuts 3 bytes off a body and signs the result again with
+    the sender's own key, so only the parse can reject it."""
+
+    def mutate(wire):
+        env = Envelope.from_wire(wire)
+        body = env.body[: len(env.body) - SIGNATURE_BYTES][:-3]
+        sig = signer.sign(_sig_context(sender, context_recipient, rnd, 0, body))
+        return Envelope(env.sender, env.recipient, env.round, body + sig).to_wire()
+
+    return mutate
+
+
 def test_truncated_signed_reshare_broadcast_makes_a_non_respondent():
     cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
     server, clients = build_sessions(cfg)
-    signer = clients[4].crypto
-
-    def truncate_and_resign(wire):
-        # a validly signed body that ends inside its reported-ids list
-        env = Envelope.from_wire(wire)
-        body = env.body[: len(env.body) - SIGNATURE_BYTES][:-3]
-        sig = signer.sign(_sig_context(4, BROADCAST, R_RESHARE, 0, body))
-        return Envelope(env.sender, env.recipient, env.round, body + sig).to_wire()
-
-    rule = TamperRule(round=R_RESHARE, sender=4, recipient=SERVER_ID, mutate=truncate_and_resign)
+    # a validly signed body that ends inside its reported-ids list
+    mutate = truncate_and_resign(clients[4].crypto, 4, BROADCAST, R_RESHARE)
+    rule = TamperRule(round=R_RESHARE, sender=4, recipient=SERVER_ID, mutate=mutate)
     mailbox = ServerMailbox(tamper_rules=[rule])
     weights, grads, root = make_inputs(cfg)
     res = run_iteration(cfg, server, clients, mailbox, 0, weights, grads, root)
@@ -305,3 +320,54 @@ def test_truncated_signed_reshare_broadcast_makes_a_non_respondent():
     for rnd in (R_RESHARE, R_FINAL, R_AGG):
         assert 4 not in res.respondents[rnd]
     assert_matches_oracle(res, grads, root, cfg.scale)
+
+
+@pytest.mark.parametrize("rnd", [R_FINAL, R_AGG], ids=["final", "aggregate"])
+def test_truncated_signed_share_upload_makes_a_non_respondent(rnd):
+    # the body ends inside its element vector; before the reads were
+    # length-checked this raised a raw ValueError out of run_iteration
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    server, clients = build_sessions(cfg)
+    mutate = truncate_and_resign(clients[4].crypto, 4, SERVER_ID, rnd)
+    rule = TamperRule(round=rnd, sender=4, recipient=SERVER_ID, mutate=mutate)
+    mailbox = ServerMailbox(tamper_rules=[rule])
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, mailbox, 0, weights, grads, root)
+    assert rule.hits == 1
+    assert 4 not in res.respondents[rnd]
+    assert_matches_oracle(res, grads, root, cfg.scale)
+
+
+def test_too_many_wrong_computations_abort_naming_the_round():
+    # four wrong final vectors among ten exceed the decoder's budget of three
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    flags = {u: ClientFlags(wrong_computation=True) for u in (2, 5, 7, 9)}
+    with pytest.raises(ProtocolAbort, match=f"round {R_FINAL}: "):
+        run_once(cfg, flags=flags)
+
+
+def test_iteration_beyond_the_nonce_range_is_refused():
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    server, clients = build_sessions(cfg)
+    weights, grads, root = make_inputs(cfg)
+    for iteration in (MAX_ITERATIONS, -1):
+        with pytest.raises(ProtocolError, match="rekey"):
+            run_iteration(cfg, server, clients, ServerMailbox(), iteration, weights, grads, root)
+
+
+def test_envelopes_for_a_silent_client_are_dropped_not_kept():
+    # client 4 falls silent from round 3, so the round-2 traffic queued for it
+    # is never collected; the iteration drops it without changing the meters
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    res, grads, root, mailbox = run_once(cfg, silenced={4: R_FINAL})
+    assert mailbox.discard_undelivered() == 0
+    up, down = Counter(), Counter()
+    for (_, rnd), n in mailbox.up_bytes.items():
+        up[rnd] += n
+    for (_, rnd), n in mailbox.down_bytes.items():
+        down[rnd] += n
+    # per-round totals as metered before queued envelopes were dropped
+    assert up == {0: 17400, 1: 32940, 2: 32980, 3: 3456, 4: 1494}
+    assert down == {0: 17400, 1: 171540, 2: 156172, 3: 3456, 4: 1494}
+    assert (mailbox.bytes_up(4), mailbox.bytes_down(4)) == (6592, 17508)
+    assert res.respondents[R_FINAL] == [u for u in range(1, 11) if u != 4]
