@@ -3,10 +3,15 @@
 numpy has no 128-bit integers, so products of 61-bit elements cannot be formed
 directly.  Three strategies, picked per modulus:
 
-* p = 2^61 - 1: split each factor into 31/30-bit halves and exploit
-  2^61 = 1 (mod p), so every intermediate fits in uint64.  Matrix products
-  split both operands into 21-bit limbs (nine uint64 matmuls) and recombine
-  limb shifts as rotations.
+* p = 2^61 - 1: elementwise products split each factor into 31/30-bit halves
+  and use 2^61 = 1 (mod p), so every intermediate fits in uint64.  Matrix
+  products run on float64 BLAS in the style of FFLAS-FFPACK (Dumas, Giorgi,
+  Pernet, ACM TOMS 2008): the larger operand is split into 31/30-bit limbs,
+  the smaller into four 16-bit limbs, so that every partial sum over an inner
+  chunk stays below 2^53, where float64 arithmetic is exact.  The partial
+  sums are converted to uint64 and recombined by rotation, since a shift by
+  2^k mod p is a rotation of the 61 bits.  Sums add the 32-bit halves of the
+  elements in uint64 and reduce once.
 * p < 2^31: products fit uint64 directly; matrix products split one operand
   into 16-bit limbs so row sums cannot overflow.
 * anything else: fall back to Python-int object arrays (correct, slow; only
@@ -24,10 +29,18 @@ from .field import MERSENNE61
 _M61 = np.uint64(MERSENNE61)
 _MASK31 = np.uint64((1 << 31) - 1)
 _MASK30 = np.uint64((1 << 30) - 1)
-_MASK21 = np.uint64((1 << 21) - 1)
+_MASK32 = np.uint64((1 << 32) - 1)
+_MASK16 = np.uint64((1 << 16) - 1)
+_SHIFTS16 = np.array([[0], [16], [32], [48]], dtype=np.uint64)
 
-# Inner-dimension caps that keep uint64 accumulation overflow-free.
-_M61_MATMUL_MAX_INNER = 1 << 20
+# A 2^61-1 matrix product sums 2 * _M61_CHUNK terms per float64 dot product,
+# each below 2^31 * 2^16 or 2^30 * 2^16; 42 is the largest chunk whose sum
+# stays below 2^53.  Chunk sums add up in uint64 and are reduced every
+# _M61_FOLD chunks, which keeps the accumulator below 2^62.
+_M61_CHUNK = 42
+_M61_FOLD = 256
+
+# Inner-dimension cap that keeps uint64 accumulation overflow-free for p < 2^31.
 _SMALL_MATMUL_MAX_INNER = 1 << 15
 
 
@@ -41,8 +54,10 @@ def as_elems(values, p: int) -> np.ndarray:
 
 
 def _m61_reduce(t: np.ndarray) -> np.ndarray:
+    """t mod 2^61-1 for any uint64 t (arrays or scalars)."""
     r = (t >> np.uint64(61)) + (t & _M61)
-    return np.where(r >= _M61, r - _M61, r)
+    # subtract only where r >= p: a scalar r - p below zero would warn
+    return r - _M61 * (r >= _M61)
 
 
 def _m61_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -58,12 +73,10 @@ def _m61_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _m61_shift(x: np.ndarray, k: int) -> np.ndarray:
-    """x * 2^k mod 2^61-1 for x < 2^61, via rotation."""
-    k %= 61
-    if k == 0:
-        return _m61_reduce(x)
-    mask = np.uint64((1 << (61 - k)) - 1)
-    return _m61_reduce(((x & mask) << np.uint64(k)) + (x >> np.uint64(61 - k)))
+    """A value congruent to x * 2^k mod 2^61-1, for any uint64 x and
+    0 < k < 61: the low 61-k bits move up by k, the rest wrap around to the
+    bottom.  The result is below 2^61 + 2^(k+3) and not reduced."""
+    return ((x << np.uint64(k)) & _M61) + (x >> np.uint64(61 - k))
 
 
 def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
@@ -90,10 +103,15 @@ def neg_mod(a: np.ndarray, p: int) -> np.ndarray:
 
 
 def sum_mod(a: np.ndarray, p: int, axis=None) -> np.ndarray:
-    """Overflow-safe sum: reduce pairwise in Python-managed chunks."""
+    """Overflow-safe sum of uint64 elements, reduced mod p."""
     arr = np.asarray(a, np.uint64)
     if arr.size == 0:
         return np.uint64(0)
+    if p == MERSENNE61:
+        # 32-bit halves sum exactly in uint64 for fewer than 2^32 terms
+        lo = np.sum(arr & _MASK32, axis=axis, dtype=np.uint64)
+        hi = np.sum(arr >> np.uint64(32), axis=axis, dtype=np.uint64)
+        return _m61_reduce(_m61_reduce(lo) + _m61_shift(hi, 32))
     # Chunk so that chunk_size * (p-1) < 2^64.
     chunk = max(1, (1 << 63) // p)
     if axis is None:
@@ -110,20 +128,41 @@ def sum_mod(a: np.ndarray, p: int, axis=None) -> np.ndarray:
     return total
 
 
+def _m61_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact (a @ b) mod 2^61-1 for canonical 2-D uint64 operands."""
+    if a.size < b.size:
+        return _m61_matmul(b.T, a.T).T
+    m, k = a.shape
+    n = b.shape[1]
+    # columns 2c and 2c+1 of `big` hold the low 31 and high 30 bits of a[:, c]
+    big = np.empty((m, k, 2))
+    np.bitwise_and(a, _MASK31, out=big[:, :, 0], casting="unsafe")
+    np.right_shift(a, np.uint64(31), out=big[:, :, 1], casting="unsafe")
+    big = big.reshape(m, 2 * k)
+    # rows 2c and 2c+1 of `small` hold b[c] and b[c] * 2^31 (which the high
+    # bits multiply), each as four 16-bit limbs in consecutive column blocks
+    pair = np.stack([b, _m61_reduce(_m61_shift(b, 31))], axis=1)
+    small = ((pair[:, :, None, :] >> _SHIFTS16) & _MASK16).astype(np.float64).reshape(2 * k, 4 * n)
+    acc = np.zeros((m, 4 * n), dtype=np.uint64)
+    step = 2 * _M61_CHUNK
+    for i, c in enumerate(range(0, 2 * k, step)):
+        acc += (big[:, c : c + step] @ small[c : c + step]).astype(np.uint64)
+        if i % _M61_FOLD == _M61_FOLD - 1:
+            acc = _m61_reduce(acc)
+    # limb j of the smaller operand carries weight 2^(16 j)
+    out = acc[:, :n].copy()
+    for j in range(1, 4):
+        out += _m61_shift(acc[:, j * n : (j + 1) * n], 16 * j)
+    return _m61_reduce(out)
+
+
 def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
-    """Exact (a @ b) mod p for canonical uint64 operands."""
+    """Exact (a @ b) mod p for canonical 2-D uint64 operands."""
     a = np.asarray(a, np.uint64)
     b = np.asarray(b, np.uint64)
+    if p == MERSENNE61:
+        return _m61_matmul(a, b)
     inner = a.shape[-1]
-    if p == MERSENNE61 and inner <= _M61_MATMUL_MAX_INNER:
-        a_limbs = [a & _MASK21, (a >> np.uint64(21)) & _MASK21, a >> np.uint64(42)]
-        b_limbs = [b & _MASK21, (b >> np.uint64(21)) & _MASK21, b >> np.uint64(42)]
-        out = None
-        for i, ai in enumerate(a_limbs):
-            for j, bj in enumerate(b_limbs):
-                part = _m61_shift(_m61_reduce(ai @ bj), 21 * (i + j))
-                out = part if out is None else _m61_reduce(out + part)
-        return out
     if p < (1 << 31) and inner <= _SMALL_MATMUL_MAX_INNER:
         pp = np.uint64(p)
         hi = (a >> np.uint64(16)) @ b % pp

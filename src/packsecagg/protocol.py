@@ -62,7 +62,7 @@ from .field import (
 )
 from .rsdecode import DecodingError
 from .sharing import SharingConfig, deserialize_elems, serialize_elems, share_batch
-from .vss import Commitment, Witness, make_scheme
+from .vss import Commitment, CommitmentBatch, Witness, limbs_to_ints, make_scheme
 
 BROADCAST = 0xFFFFFFFF
 
@@ -348,13 +348,18 @@ def _fixed(value: int, width: int) -> bytes:
     return int(value).to_bytes(width, "little")
 
 
-def _commit_blob(comms: list[Commitment], width: int) -> bytes:
-    parts = [struct.pack("<I", len(comms))]
-    for c in comms:
-        parts.append(struct.pack("<H", len(c.elements)))
-        for e in c.elements:
-            parts.append(_fixed(e, width))
-    return b"".join(parts)
+def _commit_blob(comms: CommitmentBatch, width: int) -> bytes:
+    """Wire form of a commitment batch: a u32 count, then per polynomial a u16
+    element count and each element in `width` little-endian bytes."""
+    n, k, n_limbs = comms.limbs.shape
+    elem_bytes = comms.limbs.astype("<u8").view(np.uint8).reshape(n, k, 8 * n_limbs)
+    if elem_bytes[:, :, width:].any():
+        raise ProtocolError(f"commitment element wider than {width} bytes")
+    cut = min(width, 8 * n_limbs)
+    rows = np.zeros(n, dtype=[("k", "<u2"), ("elems", np.uint8, (k, width))])
+    rows["k"] = k
+    rows["elems"][:, :, :cut] = elem_bytes[:, :, :cut]
+    return struct.pack("<I", n) + rows.tobytes()
 
 
 def _read_commit_limbs(r: _Reader, width: int) -> np.ndarray:
@@ -375,15 +380,7 @@ def _read_commit_limbs(r: _Reader, width: int) -> np.ndarray:
 
 
 def _limbs_to_commits(limbs: np.ndarray) -> list[Commitment]:
-    shifts = [64 * i for i in range(limbs.shape[2])]
-    out = []
-    for row in limbs:
-        out.append(
-            Commitment(
-                tuple(sum(int(v) << s for v, s in zip(elem, shifts)) for elem in row)
-            )
-        )
-    return out
+    return [Commitment(tuple(row)) for row in limbs_to_ints(limbs).tolist()]
 
 
 def _witness_blob(wits: list[Witness], width: int) -> bytes:
@@ -417,8 +414,7 @@ def _read_witnesses(r: _Reader, width: int) -> list[Witness]:
     if not (flat[:, 0] == 1).all():
         raise ProtocolError("mixed witness presence")
     limbs = flat[:, 1:].copy().view("<u8")
-    shifts = [64 * i for i in range(width // 8)]
-    return [Witness(sum(int(v) << s for v, s in zip(row, shifts))) for row in limbs]
+    return [Witness(v) for v in limbs_to_ints(limbs).tolist()]
 
 
 def _sig_context(sender: int, recipient: int, rnd: int, iteration: int, body: bytes) -> bytes:
@@ -1147,12 +1143,13 @@ def run_iteration(
         return pid in gradients and pid not in dead and not mailbox.is_silent(pid, rnd)
 
     def step(phase: str, pid: int, fn, *args) -> None:
-        # a client that cannot serve a round consistently goes quiet instead
-        # of fabricating values; server-side aborts still end the iteration
+        # a client that cannot serve a round consistently, or cannot parse
+        # what the server sent it, goes quiet instead of fabricating values;
+        # server-side aborts still end the iteration
         with clock(phase):
             try:
                 mailbox.submit_all(fn(*args))
-            except ProtocolAbort:
+            except ProtocolError:
                 dead.add(pid)
 
     try:
@@ -1166,7 +1163,7 @@ def run_iteration(
                     try:
                         for env in envs:
                             clients[pid].handle_model(env)
-                    except ProtocolAbort:
+                    except ProtocolError:
                         dead.add(pid)
         for pid in roster0:
             if active(pid, R_SHARE):

@@ -9,8 +9,8 @@ reveal nothing about the secrets.  Shares are linear in the secrets, and the
 elementwise product of two share vectors is a share vector of the product
 polynomial at doubled degree, which is what the dot-product pipeline exploits.
 
-Dealing is batched: one call shares every row of a secret matrix with a single
-pair of modular matrix products.
+Dealing is batched: one call shares every row of a secret matrix, and draws
+its shares and coefficients together, with a single modular matrix product.
 """
 
 from __future__ import annotations
@@ -133,6 +133,13 @@ class SharingConfig:
         powers = fastops.vandermonde(self.eval_points, self.degree - self.pack + 1, self.prime)
         return fastops.mul_mod(powers, self._vanishing_eval[None, :], self.prime)
 
+    @cached_property
+    def _deal_matrix(self) -> np.ndarray:
+        """(degree+1, N+degree+1): maps a row [secrets | q] to [shares | coefficients]."""
+        return np.block(
+            [[self._basis_eval, self._basis_coeffs], [self._rand_eval, self._vanishing_conv]]
+        )
+
 
 @dataclass
 class ShareBatch:
@@ -165,17 +172,9 @@ def share_batch(config: SharingConfig, secrets: np.ndarray, rng: np.random.Gener
     p = config.prime
     n_rand = config.degree - config.pack + 1
     q = fastops.rand_elems(rng, (secrets.shape[0], n_rand), p)
-    shares = fastops.add_mod(
-        fastops.matmul_mod(secrets, config._basis_eval, p),
-        fastops.matmul_mod(q, config._rand_eval, p),
-        p,
-    )
-    coeffs = fastops.add_mod(
-        fastops.matmul_mod(secrets, config._basis_coeffs, p),
-        fastops.matmul_mod(q, config._vanishing_conv, p),
-        p,
-    )
-    return ShareBatch(config, shares, coeffs)
+    dealt = fastops.matmul_mod(np.hstack([secrets, q]), config._deal_matrix, p)
+    n = config.n_parties
+    return ShareBatch(config, dealt[:, :n], dealt[:, n:])
 
 
 def share(config: SharingConfig, secrets: list[int], rng: np.random.Generator) -> ShareBatch:

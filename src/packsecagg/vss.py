@@ -20,11 +20,16 @@ interchangeable backends sit behind one interface:
 The fast-simulation mode swaps the coefficient backend's group for exponents
 in the clear, turning verification into plain polynomial evaluation with the
 same contract.
+
+Both backends commit a whole batch at once and return a `CommitmentBatch`: the
+group elements as uint64 limbs, ready for the wire.  Python ints are built
+only for group arithmetic, when a `Commitment` is taken out of the batch.
 """
 
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -131,6 +136,45 @@ class Commitment:
     elements: tuple[int, ...]
 
 
+class CommitmentBatch(Sequence):
+    """Commitments to a batch of polynomials as little-endian uint64 limbs of
+    shape (polynomials, elements per commitment, limbs per element), the form
+    that goes on the wire.  Indexing builds the Python-int `Commitment` that
+    group arithmetic needs."""
+
+    def __init__(self, limbs: np.ndarray):
+        self.limbs = limbs
+
+    def __len__(self) -> int:
+        return self.limbs.shape[0]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CommitmentBatch(self.limbs[i])
+        return Commitment(tuple(limbs_to_ints(self.limbs[i]).tolist()))
+
+
+def limbs_to_ints(limbs: np.ndarray) -> np.ndarray:
+    """Python-int object array of the little-endian uint64 limbs on the last
+    axis; all-zero high limbs are skipped."""
+    n = limbs.shape[-1]
+    while n > 1 and not limbs[..., n - 1].any():
+        n -= 1
+    out = limbs[..., n - 1].astype(object)
+    for i in range(n - 2, -1, -1):
+        out = (out << 64) | limbs[..., i].astype(object)
+    return out
+
+
+def ints_to_limbs(values: np.ndarray, n_limbs: int) -> np.ndarray:
+    """Little-endian uint64 limbs, on a new last axis, of an object array of
+    non-negative Python ints below 2^(64 n_limbs)."""
+    out = np.empty(values.shape + (n_limbs,), dtype=np.uint64)
+    for i in range(n_limbs):
+        out[..., i] = (values >> (64 * i)) & ((1 << 64) - 1)
+    return out
+
+
 @dataclass(frozen=True)
 class Witness:
     """Per-share opening data; None for schemes that need none."""
@@ -164,13 +208,17 @@ class CoefficientScheme:
             b"coefficient", str(prime).encode(), str(getattr(self.group, "modulus", 0)).encode()
         )
 
-    def commit_batch(self, coeff_mat: np.ndarray) -> list[Commitment]:
+    def commit_batch(self, coeff_mat: np.ndarray) -> CommitmentBatch:
         coeff_mat = np.atleast_2d(fastops.as_elems(coeff_mat, self.prime))
         if coeff_mat.shape[1] > self.max_degree + 1:
             raise CommitmentError("polynomial exceeds setup degree")
-        if isinstance(self.group, PlainGroup):
-            return [Commitment(tuple(int(c) for c in row)) for row in coeff_mat]
-        return [Commitment(tuple(self.group.exp_g(int(c)) for c in row)) for row in coeff_mat]
+        g = self.group
+        if isinstance(g, PlainGroup):
+            return CommitmentBatch(coeff_mat[:, :, None])
+        elems = np.array(
+            [[g.exp_g(c) for c in row] for row in coeff_mat.tolist()], dtype=object
+        ).reshape(coeff_mat.shape)
+        return CommitmentBatch(ints_to_limbs(elems, (g.element_bytes + 7) // 8))
 
     def open_batch(self, coeff_mat: np.ndarray, point: int) -> list[Witness]:
         return [Witness()] * np.atleast_2d(coeff_mat).shape[0]
@@ -183,7 +231,7 @@ class CoefficientScheme:
             acc = g.mul(g.exp(acc, point), c)
         return acc == g.exp_g(value)
 
-    def verify_many(self, comms: list[Commitment], point: int, values: np.ndarray) -> np.ndarray:
+    def verify_many(self, comms: Sequence[Commitment], point: int, values: np.ndarray) -> np.ndarray:
         if isinstance(self.group, PlainGroup):
             width = max(len(c.elements) for c in comms)
             mat = np.zeros((len(comms), width), dtype=np.uint64)
@@ -221,12 +269,12 @@ class ConstantScheme:
         self._tau_elem = self._powers[1]  # g^tau as an element
         self.setup_id = _digest(b"constant", str(prime).encode(), str(setup_seed).encode())
 
-    def commit_batch(self, coeff_mat: np.ndarray) -> list[Commitment]:
+    def commit_batch(self, coeff_mat: np.ndarray) -> CommitmentBatch:
         coeff_mat = np.atleast_2d(fastops.as_elems(coeff_mat, self.prime))
         if coeff_mat.shape[1] > self.max_degree + 1:
             raise CommitmentError("polynomial exceeds setup degree")
         vals = fastops.matmul_mod(coeff_mat, self._powers[: coeff_mat.shape[1], None], self.prime)
-        return [Commitment((int(v),)) for v in vals[:, 0]]
+        return CommitmentBatch(vals[:, :, None])
 
     def open_batch(self, coeff_mat: np.ndarray, point: int) -> list[Witness]:
         """Witnesses for every row polynomial at one evaluation point, via
@@ -252,7 +300,7 @@ class ConstantScheme:
         rhs = witness.element * ((int(self._tau_elem) - point) % p) % p
         return lhs == rhs
 
-    def verify_many(self, comms: list[Commitment], point: int, values: np.ndarray, witnesses: list[Witness] | None = None) -> np.ndarray:
+    def verify_many(self, comms: Sequence[Commitment], point: int, values: np.ndarray, witnesses: list[Witness] | None = None) -> np.ndarray:
         if witnesses is None:
             return np.zeros(len(comms), dtype=bool)
         return np.array(

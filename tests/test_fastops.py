@@ -92,3 +92,62 @@ def test_as_elems_handles_negatives_and_objects():
     p = 31
     arr = fastops.as_elems(np.array([-1, 32, 0], dtype=object), p)
     assert [int(v) for v in arr] == [30, 1, 0]
+
+
+# Inner dimensions around the kernel's float64 chunk (42 columns of each limb
+# pair), around 64, and long enough to need many chunks.
+WORST_INNER = [1, 42, 43, 63, 64, 65, 683, 4096]
+
+
+@pytest.mark.parametrize("inner", WORST_INNER)
+def test_matmul_mersenne_worst_case_operands(inner):
+    # every entry p-1 maximizes each limb and each float64 partial sum;
+    # (p-1)^2 = 1 (mod p), so every output entry is inner mod p
+    p = MERSENNE61
+    a = np.full((3, inner), p - 1, dtype=np.uint64)
+    b = np.full((inner, 2), p - 1, dtype=np.uint64)
+    assert fastops.matmul_mod(a, b, p).tolist() == [[inner % p] * 2] * 3
+    assert fastops.matmul_mod(b.T, a.T, p).tolist() == [[inner % p] * 3] * 2
+
+
+@pytest.mark.parametrize("inner", [42, 43, 64, 65])
+def test_matmul_mersenne_chunk_boundaries_match_reference(inner):
+    p = MERSENNE61
+    rng = np.random.default_rng(inner)
+    a = fastops.rand_elems(rng, (4, inner), p)
+    b = fastops.rand_elems(rng, (inner, 3), p)
+    a[0] = p - 1
+    b[:, 0] = p - 1
+    want = matmul_mod_py(a.tolist(), b.tolist(), p)
+    assert fastops.matmul_mod(a, b, p).tolist() == want
+
+
+def test_matmul_mersenne_inner_beyond_a_million():
+    # past 2^20 the old kernel fell back to Python-int object arrays
+    p = MERSENNE61
+    inner = (1 << 20) + 1
+    a = np.full((1, inner), p - 1, dtype=np.uint64)
+    b = np.full((inner, 1), p - 1, dtype=np.uint64)
+    assert fastops.matmul_mod(a, b, p).tolist() == [[inner % p]]
+
+
+@pytest.mark.parametrize("rows,cols", [(1, 1), (1, 9), (9, 1)])
+def test_matmul_mersenne_vector_shapes(rows, cols):
+    p = MERSENNE61
+    rng = np.random.default_rng(rows * 10 + cols)
+    a = fastops.rand_elems(rng, (rows, 50), p)
+    b = fastops.rand_elems(rng, (50, cols), p)
+    got = fastops.matmul_mod(a, b, p)
+    assert got.shape == (rows, cols)
+    assert got.tolist() == matmul_mod_py(a.tolist(), b.tolist(), p)
+
+
+def test_sum_mod_mersenne_long_rows():
+    p = MERSENNE61
+    n = 1 << 20
+    rows = np.full((2, n), p - 1, dtype=np.uint64)
+    assert fastops.sum_mod(rows, p, axis=1).tolist() == [n * (p - 1) % p] * 2
+    assert int(fastops.sum_mod(rows, p)) == 2 * n * (p - 1) % p
+    # non-canonical inputs are reduced too
+    ones = np.full((2, 1000), 2**64 - 1, dtype=np.uint64)
+    assert fastops.sum_mod(ones, p, axis=1).tolist() == [1000 * (2**64 - 1) % p] * 2

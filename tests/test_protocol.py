@@ -8,11 +8,13 @@ computations the run contains, as long as the surviving honest set stays above
 the configured thresholds.
 """
 
+import struct
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from packsecagg import fastops
 from packsecagg.channel import (
     MAX_ITERATIONS,
     SERVER_ID,
@@ -21,6 +23,7 @@ from packsecagg.channel import (
     ServerMailbox,
     TamperRule,
 )
+from packsecagg.field import MERSENNE61
 from packsecagg.protocol import (
     BROADCAST,
     ClientFlags,
@@ -29,8 +32,13 @@ from packsecagg.protocol import (
     ProtocolError,
     R_AGG,
     R_FINAL,
+    R_MODEL,
     R_RESHARE,
     R_SHARE,
+    _commit_blob,
+    _limbs_to_commits,
+    _read_commit_limbs,
+    _Reader,
     _sig_context,
     build_sessions,
     normalize_and_quantize,
@@ -38,6 +46,7 @@ from packsecagg.protocol import (
     run_iteration,
     trust_numerator,
 )
+from packsecagg.vss import make_scheme
 
 BASE = dict(n_clients=20, dim=64, pack=4, reshare_pack=4, degree=8, seed=3)
 
@@ -371,3 +380,63 @@ def test_envelopes_for_a_silent_client_are_dropped_not_kept():
     assert down == {0: 17400, 1: 171540, 2: 156172, 3: 3456, 4: 1494}
     assert (mailbox.bytes_up(4), mailbox.bytes_down(4)) == (6592, 17508)
     assert res.respondents[R_FINAL] == [u for u in range(1, 11) if u != 4]
+
+
+@pytest.mark.parametrize("message", ["model", "trust"])
+def test_client_that_cannot_parse_the_server_message_goes_quiet(message):
+    # a validly signed server message to client 4 that ends 3 bytes early;
+    # before, the client's ProtocolError escaped run_iteration
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    server, clients = build_sessions(cfg)
+    rnd, context_recipient = (R_MODEL, 4) if message == "model" else (R_FINAL, BROADCAST)
+    mutate = truncate_and_resign(server.crypto, SERVER_ID, context_recipient, rnd)
+    rule = TamperRule(round=rnd, sender=SERVER_ID, recipient=4, mutate=mutate)
+    mailbox = ServerMailbox(tamper_rules=[rule])
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, mailbox, 0, weights, grads, root)
+    assert rule.hits == 1
+    later = (R_SHARE, R_RESHARE, R_FINAL, R_AGG) if message == "model" else (R_AGG,)
+    for r in later:
+        assert 4 not in res.respondents[r]
+    survivors = [u for u in grads if u != 4] if message == "model" else None
+    assert_matches_oracle(res, grads, root, cfg.scale, roster=survivors)
+
+
+def _int_commits(limbs):
+    """Limb-by-limb Python-int conversion, the reference for _limbs_to_commits."""
+    return [
+        tuple(sum(int(v) << (64 * i) for i, v in enumerate(elem)) for elem in row)
+        for row in limbs
+    ]
+
+
+def test_limbs_to_commits_matches_per_element_conversion():
+    rng = np.random.default_rng(8)
+    limbs = rng.integers(0, 2**64, size=(40, 9, 4), dtype=np.uint64, endpoint=False)
+    limbs[0] = 2**64 - 1  # all-ones limbs
+    limbs[1, :, 1:] = 0  # one limb used
+    limbs[2, :, 3] = 0
+    got = [c.elements for c in _limbs_to_commits(limbs)]
+    assert got == _int_commits(limbs)
+    low_only = limbs.copy()
+    low_only[:, :, 1:] = 0  # every high limb zero, as in fast mode
+    assert [c.elements for c in _limbs_to_commits(low_only)] == _int_commits(low_only)
+
+
+@pytest.mark.parametrize(
+    "kind,fast", [("coefficient", True), ("coefficient", False), ("constant", True)]
+)
+def test_commit_blob_matches_per_element_encoding(kind, fast):
+    width = 32
+    scheme = make_scheme(kind, MERSENNE61, max_degree=5, fast=fast)
+    coeffs = fastops.rand_elems(np.random.default_rng(4), (7, 6), MERSENNE61)
+    comms = scheme.commit_batch(coeffs)
+    want = struct.pack("<I", len(comms)) + b"".join(
+        struct.pack("<H", len(c.elements))
+        + b"".join(int(e).to_bytes(width, "little") for e in c.elements)
+        for c in comms
+    )
+    blob = _commit_blob(comms, width)
+    assert blob == want
+    limbs = _read_commit_limbs(_Reader(blob), width)
+    assert [c.elements for c in _limbs_to_commits(limbs)] == [c.elements for c in comms]

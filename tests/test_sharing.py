@@ -8,7 +8,7 @@ import pytest
 
 from packsecagg import fastops
 from packsecagg.field import MERSENNE61
-from packsecagg.poly import poly_eval
+from packsecagg.poly import matmul_mod_py, poly_eval
 from packsecagg.sharing import (
     ShareError,
     SharingConfig,
@@ -156,3 +156,21 @@ def test_serialization_roundtrip():
     first, off = deserialize_elems(two)
     second, off = deserialize_elems(two, off)
     assert off == len(two) and int(second[0]) == 7
+
+
+@pytest.mark.parametrize("cfg", [CFG_SMALL, CFG_BIG])
+def test_fused_dealing_matches_the_four_product_formula(cfg):
+    # shares = S L(alpha) + Q R and coeffs = S L + Q Z, with q drawn from the
+    # same generator state that share_batch uses
+    p = cfg.prime
+    secrets = fastops.rand_elems(np.random.default_rng(1), (6, cfg.pack), p)
+    batch = share_batch(cfg, secrets, np.random.default_rng(2))
+    q = fastops.rand_elems(np.random.default_rng(2), (6, cfg.degree - cfg.pack + 1), p)
+
+    def two_products(left, right):
+        x = matmul_mod_py(secrets.tolist(), left.tolist(), p)
+        y = matmul_mod_py(q.tolist(), right.tolist(), p)
+        return [[(u + v) % p for u, v in zip(rx, ry)] for rx, ry in zip(x, y)]
+
+    assert batch.shares.tolist() == two_products(cfg._basis_eval, cfg._rand_eval)
+    assert batch.coeffs.tolist() == two_products(cfg._basis_coeffs, cfg._vanishing_conv)
