@@ -286,11 +286,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--config", help="JSON config file; flags override it")
         p.add_argument("--out", help="directory for CSV artifacts")
-        p.add_argument("--mode", choices=("fast", "real"), default="fast",
-                       help="crypto backend (bytes identical, speed differs)")
 
     p = sub.add_parser("train", help="run one federated training experiment")
     common(p)
+    p.add_argument("--mode", choices=("fast", "real"), default="fast",
+                   help="crypto backend (bytes identical, speed differs)")
     p.add_argument("--protocol", choices=simulation.PROTOCOLS)
     p.add_argument("--iterations", type=int)
     p.add_argument("--clients", type=int)

@@ -6,8 +6,8 @@ off-polynomial shares without being caught by the recipient.  Two
 interchangeable backends sit behind one interface:
 
 * ``coefficient`` (default): one group element per coefficient, C_t = g^{c_t},
-  over a prime-order subgroup of Z_q^* whose order equals the share field, so
-  exponent arithmetic and share arithmetic coincide.  Verification checks
+  over the subgroup of Z_q^* whose order equals the share field, so exponent
+  arithmetic and share arithmetic coincide.  Verification checks
   g^value == prod_t C_t^(x^t); no witness is needed.
 * ``constant``: a single-element commitment g^{phi(tau)} from a trusted power
   setup, with a per-share witness g^{psi(tau)} for the quotient
@@ -15,20 +15,24 @@ interchangeable backends sit behind one interface:
   e(C / g^v, g) == e(W, g^tau / g^x).  The pairing group here is a trapdoor
   stand-in (elements are exponents, the pairing multiplies them): the
   completeness/soundness algebra and element counts are exactly the real
-  scheme's, but hiding rests on the coefficient backend in security tests.
+  scheme's, and it hides nothing.
 
+Neither backend hides dealt values from share receivers.  For the share prime
+2^61-1 the coefficient group's modulus is q = 52*(2^61-1) + 1, a 67-bit prime
+(`_subgroup_modulus`), and its subgroup order is the share prime itself, so
+Pollard rho recovers a committed coefficient in about 2^31 group operations.
 The fast-simulation mode swaps the coefficient backend's group for exponents
 in the clear, turning verification into plain polynomial evaluation with the
 same contract.
 
 Both backends commit a whole batch at once and return a `CommitmentBatch`: the
-group elements as uint64 limbs, ready for the wire.  Python ints are built
-only for group arithmetic, when a `Commitment` is taken out of the batch.
+group elements as uint64 limbs, ready for the wire.  `verify_batch` checks the
+share columns of many dealers against their batches in one call; Python ints
+are built only for group arithmetic.
 """
 
 from __future__ import annotations
 
-import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -100,7 +104,7 @@ class PlainGroup:
     """Exponents in the clear: g^x is represented by x itself.
 
     Fast-simulation stand-in with the same algebraic contract (verification
-    still fails on any wrong share) and none of the cost or the hiding.
+    still fails on any wrong share) and none of the cost.
     """
 
     order: int
@@ -117,10 +121,6 @@ class PlainGroup:
 
     def mul(self, a: int, b: int) -> int:
         return (a + b) % self.order
-
-    @property
-    def element_bytes(self) -> int:
-        return 8
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +144,7 @@ class CommitmentBatch(Sequence):
 
     def __init__(self, limbs: np.ndarray):
         self.limbs = limbs
+        self._exponents: dict[int, np.ndarray | None] = {}
 
     def __len__(self) -> int:
         return self.limbs.shape[0]
@@ -152,6 +153,18 @@ class CommitmentBatch(Sequence):
         if isinstance(i, slice):
             return CommitmentBatch(self.limbs[i])
         return Commitment(tuple(limbs_to_ints(self.limbs[i]).tolist()))
+
+    def exponents(self, prime: int) -> np.ndarray | None:
+        """The elements read as exponents in the clear, reduced mod `prime`:
+        a (polynomials, elements) uint64 matrix, or None if an element is
+        wider than one limb.  Computed once per batch, so every receiver of
+        one broadcast shares the work."""
+        if prime not in self._exponents:
+            wide = self.limbs.shape[2] > 1 and self.limbs[:, :, 1:].any()
+            self._exponents[prime] = (
+                None if wide else np.mod(self.limbs[:, :, 0], np.uint64(prime))
+            )
+        return self._exponents[prime]
 
 
 def limbs_to_ints(limbs: np.ndarray) -> np.ndarray:
@@ -182,11 +195,25 @@ class Witness:
     element: int | None = None
 
 
-def _digest(*parts: bytes) -> str:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-    return h.hexdigest()[:16]
+def _well_formed(batch: CommitmentBatch, values, witnesses, width: int) -> bool:
+    """One committed polynomial of `width` elements, and one witness, per
+    share value."""
+    n = len(values)
+    return batch.limbs.shape[:2] == (n, width) and len(witnesses) == n
+
+
+def _verify_each(scheme, width: int, batches, point: int, values, witnesses) -> np.ndarray:
+    """`verify_batch` by one `verify` per polynomial; each dealer's batch is
+    converted to Python ints in one pass."""
+    ok = np.zeros(len(batches), dtype=bool)
+    for i, (batch, vals, wits) in enumerate(zip(batches, values, witnesses)):
+        if _well_formed(batch, vals, wits, width):
+            rows = limbs_to_ints(batch.limbs).tolist()
+            ok[i] = all(
+                scheme.verify(Commitment(tuple(row)), point, int(v), w)
+                for row, v, w in zip(rows, vals, wits)
+            )
+    return ok
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +231,6 @@ class CoefficientScheme:
         self.prime = prime
         self.max_degree = max_degree
         self.group = PlainGroup(prime) if fast else ModGroup(prime)
-        self.setup_id = _digest(
-            b"coefficient", str(prime).encode(), str(getattr(self.group, "modulus", 0)).encode()
-        )
 
     def commit_batch(self, coeff_mat: np.ndarray) -> CommitmentBatch:
         coeff_mat = np.atleast_2d(fastops.as_elems(coeff_mat, self.prime))
@@ -231,17 +255,26 @@ class CoefficientScheme:
             acc = g.mul(g.exp(acc, point), c)
         return acc == g.exp_g(value)
 
-    def verify_many(self, comms: Sequence[Commitment], point: int, values: np.ndarray) -> np.ndarray:
-        if isinstance(self.group, PlainGroup):
-            width = max(len(c.elements) for c in comms)
-            mat = np.zeros((len(comms), width), dtype=np.uint64)
-            for i, c in enumerate(comms):
-                mat[i, : len(c.elements)] = c.elements
-            evals = fastops.poly_eval_many(mat, [point], self.prime)[:, 0]
-            return evals == fastops.as_elems(values, self.prime)
-        return np.array(
-            [self.verify(c, point, int(v)) for c, v in zip(comms, values)], dtype=bool
-        )
+    def verify_batch(self, batches, point: int, values, witnesses) -> np.ndarray:
+        """Per dealer: whether each of its canonical share values at `point`
+        lies on the polynomial it committed.  Takes one `CommitmentBatch`, one
+        value array and one witness list per dealer; a dealer whose batch has
+        the wrong shape fails."""
+        width = self.max_degree + 1
+        if not isinstance(self.group, PlainGroup):
+            return _verify_each(self, width, batches, point, values, witnesses)
+        mats = [
+            b.exponents(self.prime) if _well_formed(b, v, w, width) else None
+            for b, v, w in zip(batches, values, witnesses)
+        ]
+        ok = np.array([m is not None for m in mats], dtype=bool)
+        idx = np.flatnonzero(ok)
+        if idx.size:
+            evals = fastops.poly_eval_many(np.vstack([mats[i] for i in idx]), [point], self.prime)
+            misses = evals[:, 0] != np.concatenate([values[i] for i in idx])
+            dealer = np.repeat(np.arange(idx.size), [len(values[i]) for i in idx])
+            ok[idx] = np.bincount(dealer[misses], minlength=idx.size) == 0
+        return ok
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +300,6 @@ class ConstantScheme:
         tau = int(rng.integers(1, prime, dtype=np.uint64))
         self._powers = fastops.powers_mod(tau, max_degree + 1, prime)
         self._tau_elem = self._powers[1]  # g^tau as an element
-        self.setup_id = _digest(b"constant", str(prime).encode(), str(setup_seed).encode())
 
     def commit_batch(self, coeff_mat: np.ndarray) -> CommitmentBatch:
         coeff_mat = np.atleast_2d(fastops.as_elems(coeff_mat, self.prime))
@@ -300,13 +332,11 @@ class ConstantScheme:
         rhs = witness.element * ((int(self._tau_elem) - point) % p) % p
         return lhs == rhs
 
-    def verify_many(self, comms: Sequence[Commitment], point: int, values: np.ndarray, witnesses: list[Witness] | None = None) -> np.ndarray:
-        if witnesses is None:
-            return np.zeros(len(comms), dtype=bool)
-        return np.array(
-            [self.verify(c, point, int(v), w) for c, v, w in zip(comms, values, witnesses)],
-            dtype=bool,
-        )
+    def verify_batch(self, batches, point: int, values, witnesses) -> np.ndarray:
+        """Per dealer: whether each of its share values at `point` opens its
+        commitment with the matching witness (arguments as in
+        `CoefficientScheme.verify_batch`)."""
+        return _verify_each(self, 1, batches, point, values, witnesses)
 
 
 def make_scheme(kind: str, prime: int, max_degree: int, fast: bool = False, setup_seed: int = 0):

@@ -441,8 +441,7 @@ def test_criterion_10_tamper_detection():
     def intake(env_list):
         point = cfg.grad_cfg.eval_point(2)
         _, cols, _ = victim._verify_bundles(
-            env_list, T_COMMIT, T_SHARE, cfg.n_poly, R_SHARE, point,
-            victim.columns[2], victim.own_commit_body,
+            env_list, R_SHARE, cfg.n_poly, point, victim.columns[2], victim.own_commit_body
         )
         return cols
 

@@ -109,6 +109,12 @@ def test_unknown_protocol_rejected_by_parser(capsys):
         main(["train", "--protocol", "nonsense"])
 
 
+def test_mode_is_refused_where_it_would_be_ignored(capsys):
+    # only train runs the protocol with a selectable crypto backend
+    with pytest.raises(SystemExit):
+        main(["verify", "--mode", "real"])
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "packsecagg.cli", "verify"],

@@ -36,7 +36,6 @@ from packsecagg.protocol import (
     R_RESHARE,
     R_SHARE,
     _commit_blob,
-    _limbs_to_commits,
     _read_commit_limbs,
     _Reader,
     _sig_context,
@@ -46,7 +45,7 @@ from packsecagg.protocol import (
     run_iteration,
     trust_numerator,
 )
-from packsecagg.vss import make_scheme
+from packsecagg.vss import CommitmentBatch, make_scheme
 
 BASE = dict(n_clients=20, dim=64, pack=4, reshare_pack=4, degree=8, seed=3)
 
@@ -303,17 +302,30 @@ def test_corrupted_share_link_cannot_frame_or_spread():
             assert res.numerators[u] == oracle.numerators[u]
 
 
-def truncate_and_resign(signer, sender, context_recipient, rnd):
-    """Mutation that cuts 3 bytes off a body and signs the result again with
-    the sender's own key, so only the parse can reject it."""
+def edit_and_resign(signer, sender, context_recipient, rnd, edit):
+    """Mutation that applies `edit` to a body and signs the result again with
+    the sender's own key, so the signature check cannot reject it."""
 
     def mutate(wire):
         env = Envelope.from_wire(wire)
-        body = env.body[: len(env.body) - SIGNATURE_BYTES][:-3]
+        body = edit(env.body[: len(env.body) - SIGNATURE_BYTES])
         sig = signer.sign(_sig_context(sender, context_recipient, rnd, 0, body))
         return Envelope(env.sender, env.recipient, env.round, body + sig).to_wire()
 
     return mutate
+
+
+def truncate_and_resign(signer, sender, context_recipient, rnd):
+    """Mutation that cuts 3 bytes off a body and re-signs it, so only the
+    parse can reject it."""
+    return edit_and_resign(signer, sender, context_recipient, rnd, lambda body: body[:-3])
+
+
+def flip_sealed_byte(body):
+    # the sealed box ends the model body; flip one byte inside its ciphertext
+    out = bytearray(body)
+    out[-5] ^= 0x01
+    return bytes(out)
 
 
 def test_truncated_signed_reshare_broadcast_makes_a_non_respondent():
@@ -329,6 +341,26 @@ def test_truncated_signed_reshare_broadcast_makes_a_non_respondent():
     for rnd in (R_RESHARE, R_FINAL, R_AGG):
         assert 4 not in res.respondents[rnd]
     assert_matches_oracle(res, grads, root, cfg.scale)
+
+
+@pytest.mark.parametrize(
+    "mode,scheme", [("fast", "coefficient"), ("real", "coefficient"), ("fast", "constant")]
+)
+def test_dealer_with_short_commitments_is_excluded(mode, scheme):
+    # client 5 signs commitments one element short per polynomial; receivers
+    # must reject it as a dealer rather than fail while stacking the batches
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3,
+                         crypto_mode=mode, commitment=scheme, seed=3)
+    server, clients = build_sessions(cfg)
+    honest_commit = clients[5].scheme.commit_batch
+    clients[5].scheme.commit_batch = lambda coeffs: CommitmentBatch(
+        honest_commit(coeffs).limbs[:, :-1]
+    )
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, ServerMailbox(), 0, weights, grads, root)
+    assert res.excluded == [5]
+    assert res.roster == [u for u in range(1, 11) if u != 5]
+    assert_matches_oracle(res, grads, root, cfg.scale, roster=res.roster)
 
 
 @pytest.mark.parametrize("rnd", [R_FINAL, R_AGG], ids=["final", "aggregate"])
@@ -382,45 +414,28 @@ def test_envelopes_for_a_silent_client_are_dropped_not_kept():
     assert res.respondents[R_FINAL] == [u for u in range(1, 11) if u != 4]
 
 
-@pytest.mark.parametrize("message", ["model", "trust"])
+@pytest.mark.parametrize("message", ["model", "trust", "sealed"])
 def test_client_that_cannot_parse_the_server_message_goes_quiet(message):
-    # a validly signed server message to client 4 that ends 3 bytes early;
-    # before, the client's ProtocolError escaped run_iteration
+    # a validly signed server message to client 4 that ends 3 bytes early, or
+    # whose sealed shares fail to open; before, the client's ProtocolError or
+    # DecryptionError escaped run_iteration
     cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
     server, clients = build_sessions(cfg)
-    rnd, context_recipient = (R_MODEL, 4) if message == "model" else (R_FINAL, BROADCAST)
-    mutate = truncate_and_resign(server.crypto, SERVER_ID, context_recipient, rnd)
+    rnd, context_recipient = (R_FINAL, BROADCAST) if message == "trust" else (R_MODEL, 4)
+    if message == "sealed":
+        mutate = edit_and_resign(server.crypto, SERVER_ID, 4, rnd, flip_sealed_byte)
+    else:
+        mutate = truncate_and_resign(server.crypto, SERVER_ID, context_recipient, rnd)
     rule = TamperRule(round=rnd, sender=SERVER_ID, recipient=4, mutate=mutate)
     mailbox = ServerMailbox(tamper_rules=[rule])
     weights, grads, root = make_inputs(cfg)
     res = run_iteration(cfg, server, clients, mailbox, 0, weights, grads, root)
     assert rule.hits == 1
-    later = (R_SHARE, R_RESHARE, R_FINAL, R_AGG) if message == "model" else (R_AGG,)
+    later = (R_AGG,) if message == "trust" else (R_SHARE, R_RESHARE, R_FINAL, R_AGG)
     for r in later:
         assert 4 not in res.respondents[r]
-    survivors = [u for u in grads if u != 4] if message == "model" else None
+    survivors = None if message == "trust" else [u for u in grads if u != 4]
     assert_matches_oracle(res, grads, root, cfg.scale, roster=survivors)
-
-
-def _int_commits(limbs):
-    """Limb-by-limb Python-int conversion, the reference for _limbs_to_commits."""
-    return [
-        tuple(sum(int(v) << (64 * i) for i, v in enumerate(elem)) for elem in row)
-        for row in limbs
-    ]
-
-
-def test_limbs_to_commits_matches_per_element_conversion():
-    rng = np.random.default_rng(8)
-    limbs = rng.integers(0, 2**64, size=(40, 9, 4), dtype=np.uint64, endpoint=False)
-    limbs[0] = 2**64 - 1  # all-ones limbs
-    limbs[1, :, 1:] = 0  # one limb used
-    limbs[2, :, 3] = 0
-    got = [c.elements for c in _limbs_to_commits(limbs)]
-    assert got == _int_commits(limbs)
-    low_only = limbs.copy()
-    low_only[:, :, 1:] = 0  # every high limb zero, as in fast mode
-    assert [c.elements for c in _limbs_to_commits(low_only)] == _int_commits(low_only)
 
 
 @pytest.mark.parametrize(
@@ -438,5 +453,5 @@ def test_commit_blob_matches_per_element_encoding(kind, fast):
     )
     blob = _commit_blob(comms, width)
     assert blob == want
-    limbs = _read_commit_limbs(_Reader(blob), width)
-    assert [c.elements for c in _limbs_to_commits(limbs)] == [c.elements for c in comms]
+    parsed = _read_commit_limbs(_Reader(blob), width)
+    assert [c.elements for c in parsed] == [c.elements for c in comms]

@@ -15,11 +15,13 @@ from packsecagg.sharing import SharingConfig, share_batch
 from packsecagg.vss import (
     CoefficientScheme,
     Commitment,
+    CommitmentBatch,
     CommitmentError,
     ConstantScheme,
     ModGroup,
     PlainGroup,
     Witness,
+    limbs_to_ints,
     make_scheme,
 )
 
@@ -72,7 +74,7 @@ def test_completeness_all_shares_verify(kind, fast):
         col = batch.column(party)
         for k in range(len(comms)):
             assert scheme.verify(comms[k], x, int(col[k]), wits[k])
-        assert scheme.verify_many(comms, x, col, *( [wits] if kind == "constant" else [] )).all()
+        assert scheme.verify_batch([comms], x, [col], [wits]).tolist() == [True]
 
 
 @pytest.mark.parametrize("kind", ["coefficient", "constant"])
@@ -180,13 +182,49 @@ def test_malicious_dealer_detected(kind, fast):
     assert all(malicious_dealer_trial(scheme, cfg, rng) for _ in range(50))
 
 
-def test_verify_many_flags_exact_positions():
+@pytest.mark.parametrize(
+    "kind,fast",
+    [("coefficient", True), ("coefficient", False), ("constant", False)],
+    ids=["coefficient-fast", "coefficient-real", "constant"],
+)
+def test_verify_batch_flags_exact_positions(kind, fast):
     p = MERSENNE61
     cfg, batch = _deal(p, n=8, pack=2, degree=4, seed=13)
-    scheme = make_scheme("coefficient", p, max_degree=4, fast=True)
+    scheme = make_scheme(kind, p, max_degree=4, fast=fast)
     comms = scheme.commit_batch(batch.coeffs)
     x = cfg.eval_point(5)
+    wits = scheme.open_batch(batch.coeffs, x)
     vals = batch.column(5).copy()
     vals[1] = (vals[1] + 3) % p
-    out = scheme.verify_many(comms, x, vals)
+    # one dealer per polynomial: only the tampered position fails
+    out = scheme.verify_batch([comms[k : k + 1] for k in range(3)], x,
+                              [vals[k : k + 1] for k in range(3)], [wits[k : k + 1] for k in range(3)])
     assert out.tolist() == [True, False, True]
+    # whole batches: an honest dealer, the tampered one, and one whose
+    # commitments lack their last element
+    short = CommitmentBatch(comms.limbs[:, :-1])
+    good = batch.column(5)
+    out = scheme.verify_batch([comms, comms, short], x, [good, vals, good], [wits] * 3)
+    assert out.tolist() == [True, False, False]
+
+
+def _int_commits(limbs):
+    """Limb-by-limb Python-int conversion, the reference for limbs_to_ints."""
+    return [
+        tuple(sum(int(v) << (64 * i) for i, v in enumerate(elem)) for elem in row)
+        for row in limbs
+    ]
+
+
+def test_limbs_to_ints_matches_per_element_conversion():
+    rng = np.random.default_rng(8)
+    limbs = rng.integers(0, 2**64, size=(40, 9, 4), dtype=np.uint64, endpoint=False)
+    limbs[0] = 2**64 - 1  # all-ones limbs
+    limbs[1, :, 1:] = 0  # one limb used
+    limbs[2, :, 3] = 0
+    low_only = limbs.copy()
+    low_only[:, :, 1:] = 0  # every high limb zero, as in fast mode
+    for case in (limbs, low_only):
+        want = _int_commits(case)
+        assert [tuple(row) for row in limbs_to_ints(case).tolist()] == want
+        assert [c.elements for c in CommitmentBatch(case)] == want
