@@ -606,6 +606,8 @@ class ClientSession(_Party):
         ):
             raise ProtocolAbort("server model signature failed")
         col, wits = self._open(SERVER_ID, env.round, sealed, b"model")
+        if col.size != self.cfg.n_poly or (col >= self.cfg.prime).any():
+            raise ProtocolAbort("wrong reference share count or non-canonical share")
         point = self.cfg.grad_cfg.eval_point(self.id)
         if not self.scheme.verify_batch([commits], point, [col], [wits])[0]:
             raise ProtocolAbort("reference-gradient shares failed verification")

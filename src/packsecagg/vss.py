@@ -26,9 +26,21 @@ in the clear, turning verification into plain polynomial evaluation with the
 same contract.
 
 Both backends commit a whole batch at once and return a `CommitmentBatch`: the
-group elements as uint64 limbs, ready for the wire.  `verify_batch` checks the
-share columns of many dealers against their batches in one call; Python ints
-are built only for group arithmetic.
+group elements as uint64 limbs, ready for the wire.  In the real group, g^c
+comes from a fixed-base table (`_g_table`): for each 8-bit window i of a
+uint64 exponent, the 256 powers g^(b * 2^(8 i)), 2,048 Python ints derived
+from the public (q, g) and cached per order.  An exponentiation is then eight
+lookups and their product mod q, taken over a whole array at once.
+
+`verify_batch` checks the share columns of many dealers against their batches
+in one call.  The rows of every well-formed dealer are stacked, and each
+scheme's check runs once over all of them: one Horner pass in the exponent
+against table powers g^value (real group), one matrix-vector product
+(exponents in the clear), or one field relation (constant scheme).  A dealer
+fails exactly when one of its rows does.  In the real group each receiver
+converts and checks its own batches; the public table is the only object
+receivers share.  The scalar `verify` methods are the reference these passes
+are tested against.
 """
 
 from __future__ import annotations
@@ -67,6 +79,39 @@ def _subgroup_modulus(order: int) -> tuple[int, int]:
         k += 1
 
 
+# Fixed-base table for g^e (Brickell, Gordon, McCurley, Wilson, EUROCRYPT
+# 1992): one row per 8-bit window of a uint64 exponent, 8 x 256 entries.
+_WINDOW_BITS = 8
+_WINDOWS = 64 // _WINDOW_BITS
+
+
+@lru_cache(maxsize=8)
+def _g_table(order: int) -> np.ndarray:
+    """Read-only object array T[i, b] = g^(b * 2^(8 i)) mod q, from the public
+    (q, g)."""
+    q, base = _subgroup_modulus(order)
+    table = np.empty((_WINDOWS, 1 << _WINDOW_BITS), dtype=object)
+    for i in range(_WINDOWS):
+        acc = 1
+        for b in range(1 << _WINDOW_BITS):
+            table[i, b] = acc
+            acc = acc * base % q
+        base = acc
+    table.flags.writeable = False
+    return table
+
+
+def _pow_small(base: np.ndarray, e: int, q: int) -> np.ndarray:
+    """base^e mod q for every entry of an object array of ints below q, by
+    left-to-right square-and-multiply over the bits of e."""
+    if e == 0:
+        return np.ones_like(base)
+    out = base
+    for bit in bin(e)[3:]:
+        out = (out * out * base if bit == "1" else out * out) % q
+    return out
+
+
 @dataclass(frozen=True)
 class ModGroup:
     """Prime-order multiplicative subgroup with order = share field prime."""
@@ -87,6 +132,19 @@ class ModGroup:
 
     def exp_g(self, e: int) -> int:
         return pow(self.generator, e % self.order, self.modulus)
+
+    def exp_g_array(self, e) -> np.ndarray:
+        """g^e mod q for every entry of a uint64 array, as Python ints: one
+        table lookup per 8-bit window and a product of the lookups, reduced
+        after every second factor."""
+        e = np.asarray(e, dtype="<u8")
+        digits = np.ascontiguousarray(e).reshape(-1).view(np.uint8).reshape(-1, _WINDOWS)
+        table = _g_table(self.order)
+        q = self.modulus
+        out = 1
+        for i in range(0, _WINDOWS, 2):
+            out = out * table[i, digits[:, i]] * table[i + 1, digits[:, i + 1]] % q
+        return out.reshape(e.shape)
 
     def exp(self, base: int, e: int) -> int:
         return pow(base, e % self.order, self.modulus)
@@ -202,18 +260,20 @@ def _well_formed(batch: CommitmentBatch, values, witnesses, width: int) -> bool:
     return batch.limbs.shape[:2] == (n, width) and len(witnesses) == n
 
 
-def _verify_each(scheme, width: int, batches, point: int, values, witnesses) -> np.ndarray:
-    """`verify_batch` by one `verify` per polynomial; each dealer's batch is
-    converted to Python ints in one pass."""
-    ok = np.zeros(len(batches), dtype=bool)
-    for i, (batch, vals, wits) in enumerate(zip(batches, values, witnesses)):
-        if _well_formed(batch, vals, wits, width):
-            rows = limbs_to_ints(batch.limbs).tolist()
-            ok[i] = all(
-                scheme.verify(Commitment(tuple(row)), point, int(v), w)
-                for row, v, w in zip(rows, vals, wits)
-            )
-    return ok
+def _dealers_without_misses(misses: np.ndarray, sizes) -> np.ndarray:
+    """Per dealer, whether none of its rows missed; `misses` holds the rows of
+    every dealer in turn, `sizes[i]` of them for dealer i."""
+    dealer = np.repeat(np.arange(len(sizes)), sizes)
+    return np.bincount(dealer[misses], minlength=len(sizes)) == 0
+
+
+@lru_cache(maxsize=1024)
+def _point_powers(point: int, width: int, prime: int) -> np.ndarray:
+    """Read-only column [x^0, ..., x^(width-1)] that evaluates coefficient
+    rows at x."""
+    col = fastops.powers_mod(point % prime, width, prime)[:, None]
+    col.flags.writeable = False
+    return col
 
 
 # ---------------------------------------------------------------------------
@@ -239,10 +299,7 @@ class CoefficientScheme:
         g = self.group
         if isinstance(g, PlainGroup):
             return CommitmentBatch(coeff_mat[:, :, None])
-        elems = np.array(
-            [[g.exp_g(c) for c in row] for row in coeff_mat.tolist()], dtype=object
-        ).reshape(coeff_mat.shape)
-        return CommitmentBatch(ints_to_limbs(elems, (g.element_bytes + 7) // 8))
+        return CommitmentBatch(ints_to_limbs(g.exp_g_array(coeff_mat), (g.element_bytes + 7) // 8))
 
     def open_batch(self, coeff_mat: np.ndarray, point: int) -> list[Witness]:
         return [Witness()] * np.atleast_2d(coeff_mat).shape[0]
@@ -259,22 +316,40 @@ class CoefficientScheme:
         """Per dealer: whether each of its canonical share values at `point`
         lies on the polynomial it committed.  Takes one `CommitmentBatch`, one
         value array and one witness list per dealer; a dealer whose batch has
-        the wrong shape fails."""
+        the wrong shape fails.  Every row of every dealer is checked exactly,
+        in one pass over all of them."""
         width = self.max_degree + 1
-        if not isinstance(self.group, PlainGroup):
-            return _verify_each(self, width, batches, point, values, witnesses)
-        mats = [
-            b.exponents(self.prime) if _well_formed(b, v, w, width) else None
-            for b, v, w in zip(batches, values, witnesses)
-        ]
-        ok = np.array([m is not None for m in mats], dtype=bool)
+        plain = isinstance(self.group, PlainGroup)
+        ok = np.array(
+            [_well_formed(b, v, w, width) for b, v, w in zip(batches, values, witnesses)], dtype=bool
+        )
+        if plain:
+            # an element wider than one limb is no exponent in the clear
+            for i in np.flatnonzero(ok):
+                ok[i] = batches[i].exponents(self.prime) is not None
         idx = np.flatnonzero(ok)
-        if idx.size:
-            evals = fastops.poly_eval_many(np.vstack([mats[i] for i in idx]), [point], self.prime)
-            misses = evals[:, 0] != np.concatenate([values[i] for i in idx])
-            dealer = np.repeat(np.arange(idx.size), [len(values[i]) for i in idx])
-            ok[idx] = np.bincount(dealer[misses], minlength=idx.size) == 0
+        if not idx.size:
+            return ok
+        vals = np.concatenate([values[i] for i in idx])
+        if plain:
+            mat = np.vstack([batches[i].exponents(self.prime) for i in idx])
+            evals = fastops.matmul_mod(mat, _point_powers(point, width, self.prime), self.prime)
+            misses = evals[:, 0] != vals
+        else:
+            elems = limbs_to_ints(np.concatenate([batches[i].limbs for i in idx]))
+            misses = self._horner(elems, point) != self.group.exp_g_array(vals)
+        ok[idx] = _dealers_without_misses(misses, [len(values[i]) for i in idx])
         return ok
+
+    def _horner(self, elems: np.ndarray, point: int) -> np.ndarray:
+        """prod_t C_t^(x^t) mod q for every row of a (rows, d+1) object array
+        of group elements: `verify`'s Horner loop, run on all rows at once."""
+        q = self.group.modulus
+        x = point % self.group.order
+        acc = elems[:, -1] % q
+        for t in range(elems.shape[1] - 2, -1, -1):
+            acc = _pow_small(acc, x, q) * elems[:, t] % q
+        return acc
 
 
 # ---------------------------------------------------------------------------
@@ -335,8 +410,26 @@ class ConstantScheme:
     def verify_batch(self, batches, point: int, values, witnesses) -> np.ndarray:
         """Per dealer: whether each of its share values at `point` opens its
         commitment with the matching witness (arguments as in
-        `CoefficientScheme.verify_batch`)."""
-        return _verify_each(self, 1, batches, point, values, witnesses)
+        `CoefficientScheme.verify_batch`).  `verify`'s relation, checked on
+        the stacked rows of every dealer at once."""
+        ok = np.array(
+            [
+                _well_formed(b, v, w, 1) and all(x.element is not None for x in w)
+                for b, v, w in zip(batches, values, witnesses)
+            ],
+            dtype=bool,
+        )
+        idx = np.flatnonzero(ok)
+        if not idx.size:
+            return ok
+        p = self.prime
+        comms = limbs_to_ints(np.concatenate([batches[i].limbs[:, 0] for i in idx])) % p
+        wits = np.array([x.element for i in idx for x in witnesses[i]], dtype=object) % p
+        vals = fastops.as_elems(np.concatenate([values[i] for i in idx]), p)
+        lhs = fastops.sub_mod(comms.astype(np.uint64), vals, p)
+        rhs = fastops.mul_mod(wits.astype(np.uint64), np.uint64((int(self._tau_elem) - point) % p), p)
+        ok[idx] = _dealers_without_misses(lhs != rhs, [len(values[i]) for i in idx])
+        return ok
 
 
 def make_scheme(kind: str, prime: int, max_degree: int, fast: bool = False, setup_seed: int = 0):

@@ -438,6 +438,42 @@ def test_client_that_cannot_parse_the_server_message_goes_quiet(message):
     assert_matches_oracle(res, grads, root, cfg.scale, roster=survivors)
 
 
+def test_reference_shares_for_another_dimension_make_clients_quiet():
+    # a server built for dim 40 deals every client twice the reference shares
+    # it expects, under matching commitments; before, round 2 raised a raw
+    # ValueError out of run_iteration
+    small = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    wide = ProtocolConfig(n_clients=10, dim=40, pack=2, reshare_pack=2, degree=3, seed=3)
+    server, _ = build_sessions(wide)
+    _, clients = build_sessions(small)
+    weights, grads, _ = make_inputs(small)
+    _, _, root = make_inputs(wide)
+    with pytest.raises(ProtocolAbort, match="respondents"):
+        run_iteration(small, server, clients, ServerMailbox(), 0, weights, grads, root)
+
+
+@pytest.mark.parametrize("mode", ["fast", "real"])
+def test_non_canonical_reference_share_makes_the_client_quiet(mode):
+    # the server hands client 4 one reference share as v + p; real mode's
+    # generator has order p, so g^(v+p) == g^v and only a range check sees it
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3,
+                         crypto_mode=mode, seed=3)
+    server, clients = build_sessions(cfg)
+    honest_seal = server._seal_columns
+
+    def seal(rnd, sharing, batch, shares, aad, bad_witnesses=False):
+        shares = shares.copy()
+        shares[0, 3] += np.uint64(MERSENNE61)
+        return honest_seal(rnd, sharing, batch, shares, aad, bad_witnesses)
+
+    server._seal_columns = seal
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, ServerMailbox(), 0, weights, grads, root)
+    for r in (R_SHARE, R_RESHARE, R_FINAL, R_AGG):
+        assert 4 not in res.respondents[r]
+    assert_matches_oracle(res, grads, root, cfg.scale, roster=[u for u in grads if u != 4])
+
+
 @pytest.mark.parametrize(
     "kind,fast", [("coefficient", True), ("coefficient", False), ("constant", True)]
 )

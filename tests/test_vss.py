@@ -21,6 +21,7 @@ from packsecagg.vss import (
     ModGroup,
     PlainGroup,
     Witness,
+    ints_to_limbs,
     limbs_to_ints,
     make_scheme,
 )
@@ -228,3 +229,96 @@ def test_limbs_to_ints_matches_per_element_conversion():
         want = _int_commits(case)
         assert [tuple(row) for row in limbs_to_ints(case).tolist()] == want
         assert [c.elements for c in CommitmentBatch(case)] == want
+
+
+@pytest.mark.parametrize(
+    "e", [0, 1, 255, 256, 2**56 - 1, 2**56, MERSENNE61 - 1, MERSENNE61, 2**64 - 1]
+)
+def test_table_exponentiation_matches_pow(e):
+    g = ModGroup(MERSENNE61)
+    got = g.exp_g_array(np.array([e, e], dtype=np.uint64))
+    assert got.tolist() == [pow(g.generator, e, g.modulus)] * 2
+
+
+def test_real_commit_batch_matches_per_element_exp_g():
+    scheme = CoefficientScheme(MERSENNE61, max_degree=6)
+    coeffs = fastops.rand_elems(np.random.default_rng(17), (9, 7), MERSENNE61)
+    coeffs[0, :3] = [0, 1, MERSENNE61 - 1]
+    comms = scheme.commit_batch(coeffs)
+    want = [tuple(scheme.group.exp_g(c) for c in row) for row in coeffs.tolist()]
+    assert [c.elements for c in comms] == want
+
+
+def _hostile_dealers(scheme, point, rng):
+    """Dealers of 3 polynomials each at `point`, as (name, batch, values,
+    witnesses, whether verification must pass).  Every batch has the wire's
+    four limbs per element, so hostile elements up to 2^256 fit; where an
+    element is only rewritten to a congruent value, the dealer still
+    verifies."""
+    p = scheme.prime
+    width = scheme.max_degree + 1
+    coeffs = fastops.rand_elems(rng, (3, width), p)
+    vals = fastops.poly_eval_many(coeffs, [point], p)[:, 0]
+    wits = scheme.open_batch(coeffs, point)
+    elems = limbs_to_ints(scheme.commit_batch(coeffs).limbs)
+    comms = CommitmentBatch(ints_to_limbs(elems, 4))
+    # the modulus the elements live under: q for the group, p for the stand-in
+    q = p if scheme.needs_witness else scheme.group.modulus
+
+    def with_elem(row, col, value):
+        out = elems.copy()
+        out[row, col] = value
+        return CommitmentBatch(ints_to_limbs(out, 4))
+
+    bumped = vals.copy()
+    bumped[1] = (bumped[1] + 1) % p
+    last = elems.shape[1] - 1
+    dealers = [
+        ("honest", comms, vals, wits, True),
+        ("tampered value", comms, bumped, wits, False),
+        ("tampered element", with_elem(2, last, elems[2, last] * 7 % q), vals, wits, False),
+        ("zero element", with_elem(0, 0, 0), vals, wits, False),
+        ("element plus modulus", with_elem(1, last, elems[1, last] + q), vals, wits, True),
+        ("wide element", with_elem(1, 0, (1 << 255) + 12345), vals, wits, False),
+    ]
+    if scheme.needs_witness:
+        wide = list(wits)
+        wide[2] = Witness(wits[2].element + p)
+        wrong = list(wits)
+        wrong[0] = Witness((wits[0].element + 1) % p)
+        missing = list(wits)
+        missing[1] = Witness(None)
+        dealers += [
+            ("witness plus p", comms, vals, wide, True),
+            ("tampered witness", comms, vals, wrong, False),
+            ("missing witness", comms, vals, missing, False),
+        ]
+    else:
+        # q - 1 has order 2, so it lies outside the order-p subgroup; on the
+        # x^1 coefficient it cancels at even points, since the check (like
+        # the scalar one) never tests subgroup membership
+        dealers.append(
+            ("outside subgroup", with_elem(0, 1, elems[0, 1] * (q - 1) % q), vals, wits,
+             point % 2 == 0)
+        )
+        dealers.append(("order-2 element", with_elem(2, 2, q - 1), vals, wits, False))
+    return dealers
+
+
+@pytest.mark.parametrize("kind", ["coefficient", "constant"])
+@pytest.mark.parametrize("point", [1, 2, 19, 20, 31])
+def test_real_verify_batch_matches_scalar_verify(kind, point):
+    scheme = make_scheme(kind, MERSENNE61, max_degree=4)
+    dealers = _hostile_dealers(scheme, point, np.random.default_rng(point))
+    names, batches, values, witnesses, want = zip(*dealers)
+    got = scheme.verify_batch(list(batches), point, list(values), list(witnesses))
+    scalar = [
+        all(scheme.verify(batch[k], point, int(v[k]), w[k]) for k in range(len(v)))
+        for batch, v, w in zip(batches, values, witnesses)
+    ]
+    assert dict(zip(names, got.tolist())) == dict(zip(names, want))
+    assert got.tolist() == scalar
+    # each dealer alone reads the same as in the stacked call
+    for i in range(len(dealers)):
+        one = scheme.verify_batch([batches[i]], point, [values[i]], [witnesses[i]])
+        assert one.tolist() == [want[i]]
