@@ -18,9 +18,7 @@ Two crypto modes share one wire format and identical byte counts:
 
 The ``ServerMailbox`` is the relay: it stores envelopes, delivers them in a
 deterministic order, enforces dropout schedules, applies test-injected
-tampering, and meters every byte per (party, round, direction).  The same
-counters also accept pre-sized transfer records so large-scale traffic can be
-accounted without materializing payloads.
+tampering, and meters every byte per (party, round, direction).
 """
 
 from __future__ import annotations
@@ -332,13 +330,6 @@ class ServerMailbox:
         for env in envs:
             self.down_bytes[(recipient, rnd)] += env.wire_bytes
         return envs
-
-    def record_transfer(self, sender: int, recipient: int, rnd: int, nbytes: int) -> None:
-        """Accounting-only path: meter a transfer of a known size without a
-        payload.  Semantically one submitted and delivered envelope."""
-        self.up_bytes[(sender, rnd)] += nbytes
-        self.down_bytes[(recipient, rnd)] += nbytes
-        self.message_count += 1
 
     def discard_undelivered(self) -> int:
         """Drop every envelope still queued (addressed to a party that never

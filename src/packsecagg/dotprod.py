@@ -116,6 +116,17 @@ def reduction_weights(grad_cfg: SharingConfig, senders: tuple[int, ...]) -> np.n
     return _reduction_weights(grad_cfg.prime, grad_cfg.pack, points)
 
 
+def reshare_partials(
+    reshare_cfg: SharingConfig, columns: np.ndarray, root_column: np.ndarray, rng: np.random.Generator
+) -> ShareBatch:
+    """One holder's re-share of its per-user partials: the dot-product
+    partials, then the squared-norm partials, each packed consecutively, dealt
+    in one batch."""
+    cs, nr = partial_products(columns, root_column, reshare_cfg.prime)
+    secrets = np.vstack([pack_consecutive(cs, reshare_cfg.pack), pack_consecutive(nr, reshare_cfg.pack)])
+    return share_batch(reshare_cfg, secrets, rng)
+
+
 def combine_reshares(weights: np.ndarray, reshare_rows: np.ndarray, p: int) -> np.ndarray:
     """weights: (n_senders,), reshare_rows: (n_senders, n_polys) of one
     holder's received re-share values; returns the holder's final degree-d
@@ -179,6 +190,17 @@ def recover_packed_values(
     return unpack_consecutive(secrets, n_values), sorted(offenders)
 
 
+def dots_and_norms(values: np.ndarray, n_users: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed per-user dot products and squared norms from the decoded values
+    of the re-shares `reshare_partials` dealt: the dot products fill the
+    first half, the norms the second, each padded to whole groups."""
+    half = np.asarray(values).reshape(2, -1)
+    return (
+        fastops.decode_signed_arr(half[0][:n_users], p),
+        fastops.decode_signed_arr(half[1][:n_users], p),
+    )
+
+
 # ---------------------------------------------------------------------------
 # End-to-end pipeline without transport (oracle target and protocol core)
 # ---------------------------------------------------------------------------
@@ -219,14 +241,12 @@ def pipeline_dot_products(
     senders = tuple(all_parties)
     weights = reduction_weights(grad_cfg, senders)
 
-    # each party: partials -> consecutive re-share of cs then nr
-    reshare_shares = []  # per sender: (2*n_groups, N) share matrix
+    # each party re-shares its partials: (2*n_groups, N) share matrix per sender
     n_groups = group_width(n_users, reshare_cfg.pack)
+    reshare_shares = []
     for i in all_parties:
         cols = np.stack([b.column(i) for b in batches])
-        cs, nr = partial_products(cols, root_batch.column(i), p)
-        secrets = np.vstack([pack_consecutive(cs, reshare_cfg.pack), pack_consecutive(nr, reshare_cfg.pack)])
-        reshare_shares.append(share_batch(reshare_cfg, secrets, rng).shares)
+        reshare_shares.append(reshare_partials(reshare_cfg, cols, root_batch.column(i), rng).shares)
 
     # each receiving party combines the re-shares with the public weights
     recipients = final_senders if final_senders is not None else all_parties
@@ -238,7 +258,5 @@ def pipeline_dot_products(
     values, offenders = recover_packed_values(
         reshare_cfg, recipients, finals, 2 * n_groups * reshare_cfg.pack, error_budget
     )
-    half = values.reshape(2, -1)
-    dots = fastops.decode_signed_arr(half[0][:n_users], p)
-    norms = fastops.decode_signed_arr(half[1][:n_users], p)
+    dots, norms = dots_and_norms(values, n_users, p)
     return dots, norms, offenders

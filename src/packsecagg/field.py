@@ -15,7 +15,6 @@ numpy-vectorized equivalents that are tested against these.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 MERSENNE61 = (1 << 61) - 1
@@ -50,27 +49,6 @@ def is_probable_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-@dataclass(frozen=True)
-class FieldParams:
-    """Field modulus plus the fixed-point scale used for gradient encoding."""
-
-    prime: int = MERSENNE61
-    scale: int = DEFAULT_SCALE
-
-    def __post_init__(self) -> None:
-        if self.prime < 3 or not is_probable_prime(self.prime):
-            raise ValueError(f"modulus {self.prime} is not an odd prime")
-        if self.prime.bit_length() > 61:
-            raise ValueError("modulus must fit in 61 bits")
-        if self.scale < 1:
-            raise ValueError("scale must be positive")
-
-    @property
-    def half(self) -> int:
-        """Largest magnitude representable as a signed value."""
-        return (self.prime - 1) // 2
 
 
 def f_add(a: int, b: int, p: int = MERSENNE61) -> int:

@@ -61,7 +61,7 @@ from .field import (
     check_capacity,
 )
 from .rsdecode import DecodingError
-from .sharing import SharingConfig, deserialize_elems, serialize_elems, share_batch
+from .sharing import SharingConfig, deserialize_elems, serialize_elems
 from .vss import CommitmentBatch, Witness, limbs_to_ints, make_scheme
 
 BROADCAST = 0xFFFFFFFF
@@ -279,11 +279,11 @@ class _Reader:
     """Cursor over a message body; every read checks the remaining length, so
     a short body raises ProtocolError and nothing else."""
 
-    _U8, _U32, _U64, _F64 = (struct.Struct(f) for f in ("<B", "<I", "<Q", "<d"))
+    _U32, _U64, _F64 = (struct.Struct(f) for f in ("<I", "<Q", "<d"))
 
-    def __init__(self, buf: bytes):
+    def __init__(self, buf: bytes, off: int = 0):
         self.buf = buf
-        self.off = 0
+        self.off = off
 
     def need(self, n: int) -> None:
         if self.off + n > len(self.buf):
@@ -294,9 +294,6 @@ class _Reader:
         (v,) = fmt.unpack_from(self.buf, self.off)
         self.off += fmt.size
         return v
-
-    def u8(self) -> int:
-        return self._unpack(self._U8)
 
     def u32(self) -> int:
         return self._unpack(self._U32)
@@ -416,6 +413,12 @@ def _read_witnesses(r: _Reader, width: int) -> list[Witness]:
     return [Witness(v) for v in limbs_to_ints(limbs).tolist()]
 
 
+# every message body starts with its type and iteration and ends with the
+# sender's signature over `_sig_context`; `_Party._signed` and
+# `_Party._checked` are the only code that knows this format
+_HEADER = struct.Struct("<BI")
+
+
 def _sig_context(sender: int, recipient: int, rnd: int, iteration: int, body: bytes) -> bytes:
     return struct.pack("<IIBI", sender, recipient, rnd, iteration) + body
 
@@ -432,9 +435,10 @@ _limbs_to_commits = _retired
 
 @dataclass(frozen=True)
 class _Broadcast:
-    """A signature-checked commitment broadcast: the signed body, its SHA-256
-    digest (which binds each dealt share to these exact bytes), and its
-    commitments, None if the block does not parse."""
+    """A commitment broadcast that passed `_Party._checked`: the signed body
+    without its signature, its SHA-256 digest (which binds each dealt share
+    to these exact bytes), and its commitments, None if the block does not
+    parse."""
 
     body: bytes
     digest: bytes
@@ -443,32 +447,26 @@ class _Broadcast:
 
 class _IterationMemo:
     """Cross-client cache of the work every receiver repeats on one broadcast:
-    its signature check, digest and commitment parse.  The key holds the body
-    object that `ServerMailbox.forward` gives every receiver, so each body is
-    hashed once.  Cleared at the start of every iteration."""
+    its checks, digest and commitment parse.  The key holds the body object
+    that `ServerMailbox.forward` gives every receiver, so each body is hashed
+    once.  Cleared at the start of every iteration."""
 
     def __init__(self):
         self.broadcasts: dict[tuple, _Broadcast | None] = {}
 
-    def verify_broadcast(
-        self, directory: Directory, env: Envelope, iteration: int, width: int
-    ) -> _Broadcast | None:
-        """The broadcast in `env`, or None if its signature fails."""
+    def verify_broadcast(self, party: _Party, env: Envelope, mtype: int) -> _Broadcast | None:
+        """The broadcast of type `mtype` in `env`, or None if
+        `party._checked` rejects it."""
         key = (env.sender, env.round, env.body)
         if key not in self.broadcasts:
-            body = env.body[: len(env.body) - SIGNATURE_BYTES]
-            sig = env.body[len(env.body) - SIGNATURE_BYTES :]
             entry = None
-            if directory.verify(
-                env.sender, _sig_context(env.sender, BROADCAST, env.round, iteration, body), sig
-            ):
-                r = _Reader(body)
-                r.u8(), r.u32()
+            r = party._checked(env, mtype, BROADCAST)
+            if r is not None:
                 try:
-                    commits = _read_commit_limbs(r, width)
+                    commits = _read_commit_limbs(r, party.cfg.size_model.commitment_bytes)
                 except ProtocolError:
                     commits = None
-                entry = _Broadcast(body, hashlib.sha256(body).digest(), commits)
+                entry = _Broadcast(r.buf, hashlib.sha256(r.buf).digest(), commits)
             self.broadcasts[key] = entry
         return self.broadcasts[key]
 
@@ -514,8 +512,8 @@ class ClientFlags:
 
 
 class _Party:
-    """Seeded randomness, signing and share sealing, common to the client and
-    server state machines."""
+    """Seeded randomness, signed messages and share sealing, common to the
+    client and server state machines."""
 
     def __init__(self, cfg: ProtocolConfig, party_id: int, crypto: PartyCrypto, directory: Directory):
         self.cfg = cfg
@@ -529,8 +527,29 @@ class _Party:
             np.random.SeedSequence([self.cfg.seed, self.iteration, self.id, label])
         )
 
-    def _sign(self, recipient: int, rnd: int, body: bytes) -> bytes:
-        return self.crypto.sign(_sig_context(self.id, recipient, rnd, self.iteration, body))
+    def _signed(self, recipient: int, rnd: int, mtype: int, payload: bytes, bind: bytes = b"") -> bytes:
+        """Message body for `recipient` in round `rnd`: the header (type
+        `mtype`, this iteration) and `payload`, then this party's signature
+        over them and `bind`, bytes the receiver must already hold."""
+        body = _HEADER.pack(mtype, self.iteration) + payload
+        ctx = _sig_context(self.id, recipient, rnd, self.iteration, body + bind)
+        return body + self.crypto.sign(ctx)
+
+    def _checked(self, env: Envelope, mtype: int, signed_for: int, bind: bytes = b"") -> _Reader | None:
+        """A reader over `env`'s payload, positioned after the header, if the
+        body is long enough, has type `mtype` and this iteration, and carries a
+        valid signature by `env.sender` for `signed_for` (this party's id,
+        BROADCAST or SERVER_ID) over it and `bind`; else None."""
+        raw = env.body
+        if len(raw) < _HEADER.size + SIGNATURE_BYTES:
+            return None
+        if _HEADER.unpack_from(raw) != (mtype, self.iteration):
+            return None
+        body, sig = raw[: len(raw) - SIGNATURE_BYTES], raw[len(raw) - SIGNATURE_BYTES :]
+        ctx = _sig_context(env.sender, signed_for, env.round, self.iteration, body + bind)
+        if not self.directory.verify(env.sender, ctx, sig):
+            return None
+        return _Reader(body, _HEADER.size)
 
     def _garbage_elems(self, shape) -> np.ndarray:
         return fastops.rand_elems(self._rng(99), shape, self.cfg.prime)
@@ -586,25 +605,16 @@ class ClientSession(_Party):
         self.reshare_rows: dict[int, np.ndarray] = {}
 
     def handle_model(self, env: Envelope) -> None:
-        r = _Reader(env.body)
-        if r.u8() != T_MODEL:
-            raise ProtocolAbort("expected model message")
-        iteration = r.u32()
-        if iteration != self.iteration:
-            raise ProtocolAbort("model for a different iteration")
-        body_end_sig = env.body[: len(env.body) - SIGNATURE_BYTES]
+        r = self._checked(env, T_MODEL, self.id) if env.sender == SERVER_ID else None
+        if r is None:
+            raise ProtocolAbort("model message failed its checks")
         self.weights = r.floats()
         self.ref_norm = r.f64()
         self.norm_bound = r.u64()
         roster0 = r.ids()
         commits = _read_commit_limbs(r, self.cfg.size_model.commitment_bytes)
         sealed = r.blob()
-        sig = r.raw(SIGNATURE_BYTES)
         r.done()
-        if not self.directory.verify(
-            SERVER_ID, _sig_context(SERVER_ID, self.id, env.round, self.iteration, body_end_sig), sig
-        ):
-            raise ProtocolAbort("server model signature failed")
         col, wits = self._open(SERVER_ID, env.round, sealed, b"model")
         if col.size != self.cfg.n_poly or (col >= self.cfg.prime).any():
             raise ProtocolAbort("wrong reference share count or non-canonical share")
@@ -623,41 +633,36 @@ class ClientSession(_Party):
         cfg = self.cfg
         bcast_type, direct_type = DEAL_TYPES[rnd]
         comms = self.scheme.commit_batch(batch.coeffs)
-        commit_body = (
-            struct.pack("<BI", bcast_type, self.iteration)
-            + _commit_blob(comms, cfg.size_model.commitment_bytes)
-            + trailer
+        bcast = self._signed(
+            BROADCAST, rnd, bcast_type, _commit_blob(comms, cfg.size_model.commitment_bytes) + trailer
         )
-        out = [Envelope(self.id, SERVER_ID, rnd, commit_body + self._sign(BROADCAST, rnd, commit_body))]
+        commit_body = bcast[: len(bcast) - SIGNATURE_BYTES]
         digest = hashlib.sha256(commit_body).digest()
+        out = [Envelope(self.id, SERVER_ID, rnd, bcast)]
         shares = batch.shares
         if self.flags.invalid_shares:
             shares = self._garbage_elems(shares.shape)
         for peer, sealed in self._seal_columns(
             rnd, sharing, batch, shares, digest, bad_witnesses=self.flags.invalid_shares
         ):
-            body = struct.pack("<BII", direct_type, self.iteration, len(sealed)) + sealed
-            out.append(Envelope(self.id, peer, rnd, body + self._sign(peer, rnd, body + digest)))
+            payload = struct.pack("<I", len(sealed)) + sealed
+            body = self._signed(peer, rnd, direct_type, payload, bind=digest)
+            out.append(Envelope(self.id, peer, rnd, body))
         return out, commit_body, shares[:, self.id - 1].copy()
 
     def _split_envs(self, envs: list[Envelope], rnd: int):
+        """(checked broadcasts, direct share envelopes), each by sender; a
+        direct envelope is checked once its broadcast's digest is known."""
         bcast_type, direct_type = DEAL_TYPES[rnd]
         bcast: dict[int, _Broadcast] = {}
         direct: dict[int, Envelope] = {}
         for env in envs:
-            raw = env.body
-            if len(raw) < 5 + SIGNATURE_BYTES:
-                continue
-            if struct.unpack_from("<I", raw, 1)[0] != self.iteration:
-                continue
-            t = raw[0]
-            if t == bcast_type:
-                entry = _MEMO.verify_broadcast(
-                    self.directory, env, self.iteration, self.cfg.size_model.commitment_bytes
-                )
+            kind = env.body[:1]
+            if kind == bytes((bcast_type,)):
+                entry = _MEMO.verify_broadcast(self, env, bcast_type)
                 if entry is not None:
                     bcast[env.sender] = entry
-            elif t == direct_type:
+            elif kind == bytes((direct_type,)):
                 direct[env.sender] = env
         return bcast, direct
 
@@ -667,15 +672,11 @@ class ClientSession(_Party):
         ProtocolError if either part is missing or malformed."""
         if env is None or bcast.commits is None:
             raise ProtocolError("incomplete bundle")
-        r = _Reader(env.body)
-        r.raw(5)
+        r = self._checked(env, DEAL_TYPES[rnd][1], self.id, bind=bcast.digest)
+        if r is None:
+            raise ProtocolError("share message failed its checks")
         sealed = r.blob()
-        sig = r.raw(SIGNATURE_BYTES)
         r.done()
-        signed = env.body[: len(env.body) - SIGNATURE_BYTES] + bcast.digest
-        ctx = _sig_context(env.sender, env.recipient, env.round, self.iteration, signed)
-        if not self.directory.verify(env.sender, ctx, sig):
-            raise ProtocolError("share message signature failed")
         return self._open(env.sender, rnd, sealed, bcast.digest)
 
     def _verify_bundles(self, envs, rnd, n_polys, point, own, own_body):
@@ -742,14 +743,7 @@ class ClientSession(_Party):
             raise ProtocolAbort("no valid gradient senders")
         zero_col = np.zeros(cfg.n_poly, dtype=np.uint64)
         col_mat = np.stack([cols.get(u, zero_col) for u in seen])
-        cs, nr = dotprod.partial_products(col_mat, self.root_column, cfg.prime)
-        secrets = np.vstack(
-            [
-                dotprod.pack_consecutive(cs, cfg.reshare_pack),
-                dotprod.pack_consecutive(nr, cfg.reshare_pack),
-            ]
-        )
-        batch = share_batch(cfg.reshare_cfg, secrets, self._rng(2))
+        batch = dotprod.reshare_partials(cfg.reshare_cfg, col_mat, self.root_column, self._rng(2))
         out, self.own_recommit_body, self.reshare_rows[self.id] = self._deal(
             R_RESHARE, cfg.reshare_cfg, batch, _ids_blob(self.reported)
         )
@@ -774,27 +768,20 @@ class ClientSession(_Party):
         finals = dotprod.combine_reshares(weights, received, cfg.prime)
         if self.flags.wrong_computation:
             finals = self._garbage_elems(finals.shape)
-        body = struct.pack("<BI", T_FINAL, self.iteration) + serialize_elems(finals)
-        sig = self._sign(SERVER_ID, R_FINAL, body)
-        return [Envelope(self.id, SERVER_ID, R_FINAL, body + sig)]
+        body = self._signed(SERVER_ID, R_FINAL, T_FINAL, serialize_elems(finals))
+        return [Envelope(self.id, SERVER_ID, R_FINAL, body)]
 
     # -- round 4: trust-weighted aggregation -------------------------------
 
     def round_aggregate(self, env: Envelope) -> list[Envelope]:
         cfg = self.cfg
-        r = _Reader(env.body)
-        if r.u8() != T_TRUST or r.u32() != self.iteration:
-            raise ProtocolAbort("expected trust message")
-        body = env.body[: len(env.body) - SIGNATURE_BYTES]
+        r = self._checked(env, T_TRUST, BROADCAST) if env.sender == SERVER_ID else None
+        if r is None:
+            raise ProtocolAbort("trust message failed its checks")
         roster = r.ids()
         nums = r.elems()
         r.u64()  # denominator, informational
-        sig = r.raw(SIGNATURE_BYTES)
         r.done()
-        if not self.directory.verify(
-            SERVER_ID, _sig_context(SERVER_ID, BROADCAST, env.round, self.iteration, body), sig
-        ):
-            raise ProtocolAbort("trust message signature failed")
         unknown = [u for u in roster if u not in self.layout]
         if unknown:
             raise ProtocolAbort(f"trust roster names users outside the layout {unknown}")
@@ -807,9 +794,8 @@ class ClientSession(_Party):
         )[0]
         if self.flags.wrong_computation:
             agg = self._garbage_elems(agg.shape)
-        body = struct.pack("<BI", T_AGG, self.iteration) + serialize_elems(agg)
-        sig = self._sign(SERVER_ID, R_AGG, body)
-        return [Envelope(self.id, SERVER_ID, R_AGG, body + sig)]
+        body = self._signed(SERVER_ID, R_AGG, T_AGG, serialize_elems(agg))
+        return [Envelope(self.id, SERVER_ID, R_AGG, body)]
 
 
 # ---------------------------------------------------------------------------
@@ -840,8 +826,7 @@ class ServerSession(_Party):
         batch = dotprod.share_vector(cfg.grad_cfg, self.root_ints, self._rng(0))
         comms = self.scheme.commit_batch(batch.coeffs)
         prefix = (
-            struct.pack("<BI", T_MODEL, iteration)
-            + _floats_blob(weights)
+            _floats_blob(weights)
             + struct.pack("<d", self.ref_norm)
             + struct.pack("<Q", self.norm_bound)
             + _ids_blob(roster)
@@ -850,36 +835,26 @@ class ServerSession(_Party):
         self.roster0 = list(roster)
         out = []
         for peer, sealed in self._seal_columns(R_MODEL, cfg.grad_cfg, batch, batch.shares, b"model"):
-            body = prefix + struct.pack("<I", len(sealed)) + sealed
-            out.append(Envelope(SERVER_ID, peer, R_MODEL, body + self._sign(peer, R_MODEL, body)))
+            payload = prefix + struct.pack("<I", len(sealed)) + sealed
+            body = self._signed(peer, R_MODEL, T_MODEL, payload)
+            out.append(Envelope(SERVER_ID, peer, R_MODEL, body))
         return out
 
-    def _collect(self, mailbox: ServerMailbox, rnd: int, want_type: int):
-        """Validated submissions to the server for a phase, keyed by sender."""
-        out: dict[int, tuple[Envelope, bytes]] = {}
+    def _collect(self, mailbox: ServerMailbox, rnd: int, want_type: int, signed_for: int):
+        """Submissions to the server for a phase that pass `_checked`, as
+        (envelope, payload reader) by sender."""
+        out: dict[int, tuple[Envelope, _Reader]] = {}
         for env in mailbox.deliver(SERVER_ID, rnd):
-            if len(env.body) < 5 + SIGNATURE_BYTES:
-                continue
-            t = env.body[0]
-            (it,) = struct.unpack_from("<I", env.body, 1)
-            if t != want_type or it != self.iteration:
-                continue
-            body = env.body[: len(env.body) - SIGNATURE_BYTES]
-            sig = env.body[len(env.body) - SIGNATURE_BYTES :]
-            rcpt = BROADCAST if want_type in (T_COMMIT, T_RECOMMIT) else SERVER_ID
-            if self.directory.verify(
-                env.sender, _sig_context(env.sender, rcpt, rnd, self.iteration, body), sig
-            ):
-                out[env.sender] = (env, body)
+            r = self._checked(env, want_type, signed_for)
+            if r is not None:
+                out[env.sender] = (env, r)
         return dict(sorted(out.items()))
 
     def forward_commits(self, mailbox: ServerMailbox, rnd: int) -> list[int]:
-        got = self._collect(mailbox, rnd, T_COMMIT if rnd == R_SHARE else T_RECOMMIT)
+        got = self._collect(mailbox, rnd, DEAL_TYPES[rnd][0], BROADCAST)
         # a signed body that does not parse makes its sender a non-respondent
         reports: dict[int, list[int]] = {}
-        for sender, (env, body) in got.items():
-            r = _Reader(body)
-            r.u8(), r.u32()
+        for sender, (env, r) in got.items():
             try:
                 _read_commit_limbs(r, self.cfg.size_model.commitment_bytes)
                 reported = r.ids() if rnd == R_RESHARE else []
@@ -927,13 +902,11 @@ class ServerSession(_Party):
         can correct abort the iteration.
         """
         parties, rows = [], []
-        for sender, (env, body) in self._collect(mailbox, rnd, want_type).items():
+        for sender, (_, r) in self._collect(mailbox, rnd, want_type, SERVER_ID).items():
             # voted-out clients are no longer participants; their vectors would
             # be built from self-trusted columns and only burn decoding budget
             if sender not in self.roster:
                 continue
-            r = _Reader(body)
-            r.u8(), r.u32()
             try:
                 vals = r.elems()
                 r.done()
@@ -959,9 +932,7 @@ class ServerSession(_Party):
         cfg = self.cfg
         n_groups = dotprod.group_width(len(self.layout), cfg.reshare_pack)
         values = self._decode_round(mailbox, R_FINAL, T_FINAL, cfg.reshare_cfg, 2 * n_groups)
-        per_group = n_groups * cfg.reshare_pack
-        cs = fastops.decode_signed_arr(values[:per_group][: len(self.layout)], cfg.prime)
-        nr = fastops.decode_signed_arr(values[per_group:][: len(self.layout)], cfg.prime)
+        cs, nr = dotprod.dots_and_norms(values, len(self.layout), cfg.prime)
         self.numerators = {}
         self.flagged = []
         roster_set = set(self.roster)
@@ -974,17 +945,10 @@ class ServerSession(_Party):
             self.numerators[uid] = num
         self.denominator = sum(self.numerators.values())
         nums_arr = np.array([self.numerators[u] for u in self.roster], dtype=np.uint64)
-        body = (
-            struct.pack("<BI", T_TRUST, self.iteration)
-            + _ids_blob(self.roster)
-            + serialize_elems(nums_arr)
-            + struct.pack("<Q", min(self.denominator, 2**64 - 1))
-        )
-        sig = self._sign(BROADCAST, R_FINAL, body)
-        return [
-            Envelope(SERVER_ID, peer, R_FINAL, body + sig)
-            for peer in self.respondents[R_FINAL]
-        ]
+        payload = _ids_blob(self.roster) + serialize_elems(nums_arr)
+        payload += struct.pack("<Q", min(self.denominator, 2**64 - 1))
+        body = self._signed(BROADCAST, R_FINAL, T_TRUST, payload)
+        return [Envelope(SERVER_ID, peer, R_FINAL, body) for peer in self.respondents[R_FINAL]]
 
     def collect_aggregates(self, mailbox: ServerMailbox) -> RoundResult:
         cfg = self.cfg

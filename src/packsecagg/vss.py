@@ -8,7 +8,10 @@ interchangeable backends sit behind one interface:
 * ``coefficient`` (default): one group element per coefficient, C_t = g^{c_t},
   over the subgroup of Z_q^* whose order equals the share field, so exponent
   arithmetic and share arithmetic coincide.  Verification checks
-  g^value == prod_t C_t^(x^t); no witness is needed.
+  g^value == prod_t C_t^(x^t) up to the torsion subgroup of order
+  (q-1)/p: an element outside the order-p subgroup counts only through its
+  order-p part, so a receiver's verdict does not depend on its evaluation
+  point.  No witness is needed.
 * ``constant``: a single-element commitment g^{phi(tau)} from a trusted power
   setup, with a per-share witness g^{psi(tau)} for the quotient
   psi = (phi - phi(x)) / (X - x), checked through the bilinear relation
@@ -35,7 +38,8 @@ lookups and their product mod q, taken over a whole array at once.
 `verify_batch` checks the share columns of many dealers against their batches
 in one call.  The rows of every well-formed dealer are stacked, and each
 scheme's check runs once over all of them: one Horner pass in the exponent
-against table powers g^value (real group), one matrix-vector product
+whose quotient by the table power g^value must lie in the torsion subgroup,
+a cached set of (q-1)/p elements (real group), one matrix-vector product
 (exponents in the clear), or one field relation (constant scheme).  A dealer
 fails exactly when one of its rows does.  In the real group each receiver
 converts and checks its own batches; the public table is the only object
@@ -45,6 +49,7 @@ are tested against.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
@@ -77,6 +82,18 @@ def _subgroup_modulus(order: int) -> tuple[int, int]:
                 if g != 1:
                     return q, g
         k += 1
+
+
+@lru_cache(maxsize=8)
+def _torsion(order: int) -> frozenset[int]:
+    """The k = (q-1)/order elements x of Z_q^* with x^k == 1: the subgroup
+    that coefficient verification ignores."""
+    q, _ = _subgroup_modulus(order)
+    k = (q - 1) // order
+    for h in itertools.count(2):
+        roots = frozenset(pow(h, order * i, q) for i in range(k))
+        if len(roots) == k:
+            return roots
 
 
 # Fixed-base table for g^e (Brickell, Gordon, McCurley, Wilson, EUROCRYPT
@@ -310,7 +327,12 @@ class CoefficientScheme:
         # Horner in the exponent: prod C_t^(x^t) == g^value
         for c in reversed(comm.elements):
             acc = g.mul(g.exp(acc, point), c)
-        return acc == g.exp_g(value)
+        if isinstance(g, PlainGroup):
+            return acc == g.exp_g(value)
+        # only the order-p part of acc counts: acc / g^value may lie in the
+        # torsion subgroup, so every receiver reaches the same verdict
+        q = g.modulus
+        return pow(acc * g.exp_g(-value) % q, (q - 1) // g.order, q) == 1
 
     def verify_batch(self, batches, point: int, values, witnesses) -> np.ndarray:
         """Per dealer: whether each of its canonical share values at `point`
@@ -337,7 +359,11 @@ class CoefficientScheme:
             misses = evals[:, 0] != vals
         else:
             elems = limbs_to_ints(np.concatenate([batches[i].limbs for i in idx]))
-            misses = self._horner(elems, point) != self.group.exp_g_array(vals)
+            p = self.prime
+            inv = self.group.exp_g_array(fastops.neg_mod(fastops.as_elems(vals, p), p))
+            ratios = self._horner(elems, point) * inv % self.group.modulus
+            torsion = _torsion(p)
+            misses = np.array([r not in torsion for r in ratios.tolist()], dtype=bool)
         ok[idx] = _dealers_without_misses(misses, [len(values[i]) for i in idx])
         return ok
 

@@ -112,18 +112,6 @@ def test_mailbox_tamper_rule_applies():
     assert rule.hits == 1
 
 
-def test_record_transfer_matches_real_submission():
-    real = ServerMailbox()
-    env = Envelope(1, 2, 3, bytes(100))
-    real.submit(env)
-    real.deliver(2, 3)
-    acct = ServerMailbox()
-    acct.record_transfer(1, 2, 3, env.wire_bytes)
-    assert real.up_bytes == acct.up_bytes
-    assert real.down_bytes == acct.down_bytes
-    assert real.message_count == acct.message_count
-
-
 def test_size_model_arithmetic():
     m = SizeModel()
     assert m.elems(10) == 4 + 80

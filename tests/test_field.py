@@ -8,7 +8,6 @@ import pytest
 
 from packsecagg.field import (
     MERSENNE61,
-    FieldParams,
     check_aggregate_capacity,
     check_capacity,
     decode_signed,
@@ -105,17 +104,6 @@ def test_signed_encoding_roundtrip():
     big = MERSENNE61
     for v in [0, 1, -1, (big - 1) // 2, -(big - 1) // 2, 12345678901]:
         assert decode_signed(encode_signed(v, big), big) == v
-
-
-def test_field_params_validation():
-    FieldParams()
-    FieldParams(prime=31, scale=4)
-    with pytest.raises(ValueError):
-        FieldParams(prime=33)
-    with pytest.raises(ValueError):
-        FieldParams(prime=2**62 - 57)
-    with pytest.raises(ValueError):
-        FieldParams(scale=0)
 
 
 def test_capacity_audits():

@@ -45,7 +45,7 @@ from packsecagg.protocol import (
     run_iteration,
     trust_numerator,
 )
-from packsecagg.vss import CommitmentBatch, make_scheme
+from packsecagg.vss import CommitmentBatch, ints_to_limbs, limbs_to_ints, make_scheme
 
 BASE = dict(n_clients=20, dim=64, pack=4, reshare_pack=4, degree=8, seed=3)
 
@@ -360,6 +360,83 @@ def test_dealer_with_short_commitments_is_excluded(mode, scheme):
     res = run_iteration(cfg, server, clients, ServerMailbox(), 0, weights, grads, root)
     assert res.excluded == [5]
     assert res.roster == [u for u in range(1, 11) if u != 5]
+    assert_matches_oracle(res, grads, root, cfg.scale, roster=res.roster)
+
+
+def test_dealer_with_commitments_outside_the_subgroup_is_judged_alike_everywhere():
+    # client 7 multiplies its x^1 commitments by q - 1, which has order 2;
+    # before, receivers at even points accepted it and those at odd points
+    # did not, so they combined different re-share sender sets and round 3
+    # aborted.  Only the order-p part of an element counts, so all accept.
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3,
+                         crypto_mode="real", seed=3)
+    server, clients = build_sessions(cfg)
+    honest_commit = clients[7].scheme.commit_batch
+    q = clients[7].scheme.group.modulus
+
+    def commit(coeffs):
+        limbs = honest_commit(coeffs).limbs
+        elems = limbs_to_ints(limbs)
+        elems[:, 1] = elems[:, 1] * (q - 1) % q
+        return CommitmentBatch(ints_to_limbs(elems, limbs.shape[2]))
+
+    clients[7].scheme.commit_batch = commit
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, ServerMailbox(), 0, weights, grads, root)
+    assert res.excluded == [] and res.offenders == []
+    assert res.roster == list(range(1, 11))
+    assert_matches_oracle(res, grads, root, cfg.scale)
+
+
+# message kind -> (sender, round, recipient of the envelope, signed-for recipient)
+FUZZ_MESSAGES = {
+    "model": (SERVER_ID, R_MODEL, 4, 4),
+    "commit": (4, R_SHARE, SERVER_ID, BROADCAST),
+    "recommit": (4, R_RESHARE, SERVER_ID, BROADCAST),
+    "final": (4, R_FINAL, SERVER_ID, SERVER_ID),
+    "trust": (SERVER_ID, R_FINAL, 4, BROADCAST),
+    "aggregate": (4, R_AGG, SERVER_ID, SERVER_ID),
+}
+
+
+def _bump_u32(body, offset, value=None):
+    (old,) = struct.unpack_from("<I", body, offset)
+    new = (old + 1) % 2**32 if value is None else value
+    return body[:offset] + struct.pack("<I", new) + body[offset + 4 :]
+
+
+# edits to a body without its signature; the header is the type byte and the
+# u32 iteration, and the u32 after it is the first count of most payloads
+FUZZ_EDITS = {
+    "cut 1": lambda b: b[:-1],
+    "cut to half": lambda b: b[: len(b) // 2],
+    "cut to header": lambda b: b[:5],
+    "append 9": lambda b: b + bytes(9),
+    "type + 1": lambda b: bytes([(b[0] + 1) % 256]) + b[1:],
+    "iteration + 1": lambda b: _bump_u32(b, 1),
+    "u32 max": lambda b: _bump_u32(b, 5, 2**32 - 1),
+    "u32 + 1": lambda b: _bump_u32(b, 5),
+    "bytes 9-10 max": lambda b: b[:9] + b"\xff\xff" + b[11:],
+    "last 8 max": lambda b: b[:-8] + b"\xff" * 8,
+}
+
+
+@pytest.mark.parametrize("edit", list(FUZZ_EDITS))
+@pytest.mark.parametrize("message", list(FUZZ_MESSAGES))
+def test_resigned_mutation_of_any_message_keeps_the_result_oracle_exact(message, edit):
+    # each message kind, mutated and signed again with its sender's key, so
+    # only the receiver's header and parse checks stand between it and the
+    # state machine; losing client 4 leaves quorum, so no abort is expected
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    server, clients = build_sessions(cfg)
+    sender, rnd, recipient, signed_for = FUZZ_MESSAGES[message]
+    signer = server.crypto if sender == SERVER_ID else clients[sender].crypto
+    mutate = edit_and_resign(signer, sender, signed_for, rnd, FUZZ_EDITS[edit])
+    rule = TamperRule(round=rnd, sender=sender, recipient=recipient, mutate=mutate)
+    mailbox = ServerMailbox(tamper_rules=[rule])
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, mailbox, 0, weights, grads, root)
+    assert rule.hits == 1
     assert_matches_oracle(res, grads, root, cfg.scale, roster=res.roster)
 
 

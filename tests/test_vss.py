@@ -294,19 +294,21 @@ def _hostile_dealers(scheme, point, rng):
             ("missing witness", comms, vals, missing, False),
         ]
     else:
-        # q - 1 has order 2, so it lies outside the order-p subgroup; on the
-        # x^1 coefficient it cancels at even points, since the check (like
-        # the scalar one) never tests subgroup membership
-        dealers.append(
-            ("outside subgroup", with_elem(0, 1, elems[0, 1] * (q - 1) % q), vals, wits,
-             point % 2 == 0)
-        )
+        # q - 1 has order 2 and h^((q-1)/13) order 13, so both lie outside
+        # the order-p subgroup; on the x^1 coefficient each would cancel only
+        # at points its order divides, but only the order-p part counts, so
+        # every receiver accepts
+        order13 = next(z for z in (pow(h, (q - 1) // 13, q) for h in range(2, 99)) if z != 1)
+        dealers += [
+            ("outside subgroup", with_elem(0, 1, elems[0, 1] * (q - 1) % q), vals, wits, True),
+            ("order-13 factor", with_elem(1, 1, elems[1, 1] * order13 % q), vals, wits, True),
+        ]
         dealers.append(("order-2 element", with_elem(2, 2, q - 1), vals, wits, False))
     return dealers
 
 
 @pytest.mark.parametrize("kind", ["coefficient", "constant"])
-@pytest.mark.parametrize("point", [1, 2, 19, 20, 31])
+@pytest.mark.parametrize("point", [1, 2, 13, 19, 20, 31])
 def test_real_verify_batch_matches_scalar_verify(kind, point):
     scheme = make_scheme(kind, MERSENNE61, max_degree=4)
     dealers = _hostile_dealers(scheme, point, np.random.default_rng(point))
