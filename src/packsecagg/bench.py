@@ -35,7 +35,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dotprod
 from .channel import DEFAULT_SIZE_MODEL, SERVER_ID, ServerMailbox, SizeModel
 from .protocol import (
     PHASES,

@@ -91,6 +91,23 @@ def lagrange_weights_at(xs: list[int], x0: int, p: int) -> list[int]:
     return weights
 
 
+def lagrange_basis(xs: list[int], p: int) -> list[list[int]]:
+    """Row t: the n coefficients of L_t, the Lagrange basis polynomial over the
+    distinct points xs, so sum_t ys[t] * row t interpolates (xs, ys).  O(n^2):
+    divide prod_s (x - xs[s]) by (x - xs[t]) and scale to L_t(xs[t]) = 1."""
+    full = poly_from_roots(xs, p)
+    rows = []
+    for xt in xs:
+        quot = [0] * len(xs)
+        carry = 0
+        for k in range(len(xs), 0, -1):
+            carry = (full[k] + carry * xt) % p
+            quot[k - 1] = carry
+        inv = f_inv(poly_eval(quot, xt, p), p)
+        rows.append([c * inv % p for c in quot])
+    return rows
+
+
 def lagrange_coeffs(xs: list[int], ys: list[int], p: int) -> list[int]:
     """Full coefficient vector of the interpolating polynomial (O(n^2))."""
     n = len(xs)

@@ -398,6 +398,7 @@ def _read_witnesses(r: _Reader, width: int) -> list[Witness]:
     n = r.u32()
     if n == 0:
         return []
+    r.need(1)
     present = r.buf[r.off]
     if not present:
         # witness-free scheme: n flag bytes, all zero
@@ -615,6 +616,12 @@ class ClientSession(_Party):
         commits = _read_commit_limbs(r, self.cfg.size_model.commitment_bytes)
         sealed = r.blob()
         r.done()
+        if (
+            self.id not in roster0
+            or roster0 != sorted(set(roster0))
+            or not 1 <= roster0[0] <= roster0[-1] <= self.cfg.n_clients
+        ):
+            raise ProtocolAbort("roster is not an increasing list of known clients with this one")
         col, wits = self._open(SERVER_ID, env.round, sealed, b"model")
         if col.size != self.cfg.n_poly or (col >= self.cfg.prime).any():
             raise ProtocolAbort("wrong reference share count or non-canonical share")
@@ -782,6 +789,8 @@ class ClientSession(_Party):
         nums = r.elems()
         r.u64()  # denominator, informational
         r.done()
+        if nums.size != len(roster):
+            raise ProtocolAbort(f"{nums.size} trust numerators for a roster of {len(roster)}")
         unknown = [u for u in roster if u not in self.layout]
         if unknown:
             raise ProtocolAbort(f"trust roster names users outside the layout {unknown}")

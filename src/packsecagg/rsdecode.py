@@ -27,8 +27,8 @@ import numpy as np
 
 from . import fastops
 from .poly import (
+    lagrange_basis,
     lagrange_coeffs,
-    matinv_mod,
     nullspace_vector,
     poly_deg,
     poly_divmod,
@@ -125,11 +125,9 @@ def rs_decode(
 
 @lru_cache(maxsize=64)
 def _interp_matrix(head: tuple[int, ...], p: int) -> np.ndarray:
-    """Inverse Vandermonde mapping values at `head` points to coefficients."""
-    n = len(head)
-    vand = [[pow(x, r, p) for r in range(n)] for x in head]
-    inv = matinv_mod(vand, p)
-    return np.array(inv, dtype=np.uint64)
+    """Maps values at the `head` points to coefficients: (values @ M)[r] is
+    the x^r coefficient of their interpolant."""
+    return np.array(lagrange_basis(list(head), p), dtype=np.uint64)
 
 
 def rs_decode_batch(
@@ -163,7 +161,7 @@ def rs_decode_batch(
         raise DecodingError(f"{n} shares cannot determine degree {degree}")
     xs = [x % p for x in xs]
     interp = _interp_matrix(tuple(xs[: degree + 1]), p)
-    coeff_mat = fastops.matmul_mod(ys_mat[:, : degree + 1], interp.T, p)
+    coeff_mat = fastops.matmul_mod(ys_mat[:, : degree + 1], interp, p)
     evals = fastops.poly_eval_many(coeff_mat, xs, p)
     clean = (evals == ys_mat).all(axis=1)
     out = [
@@ -202,7 +200,7 @@ def _decode_located(
     kept = [i for i in range(len(xs)) if i not in erased]
     head = kept[: degree + 1]
     interp = _interp_matrix(tuple(xs[i] for i in head), p)
-    coeff_mat = fastops.matmul_mod(ys_mat[:, head], interp.T, p)
+    coeff_mat = fastops.matmul_mod(ys_mat[:, head], interp, p)
     wrong = fastops.poly_eval_many(coeff_mat, xs, p) != ys_mat
     explained = ~wrong[:, kept].any(axis=1)
     return [

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import fastops
 from .field import is_probable_prime
-from .poly import lagrange_weights_at, poly_from_roots, poly_mul
+from .poly import lagrange_basis, lagrange_weights_at, poly_from_roots
 
 
 class ShareError(ValueError):
@@ -71,74 +71,22 @@ class SharingConfig:
             raise ShareError(f"party {party} out of range")
         return self.pack + party
 
-    # -- cached dealing matrices ------------------------------------------
-
-    @cached_property
-    def _basis_eval(self) -> np.ndarray:
-        """(pack, N): L_i(alpha_j)."""
-        p = self.prime
-        rows = []
-        for i in self.secret_points:
-            others = [e for e in self.secret_points if e != i]
-            num = poly_from_roots(list(others), p)
-            den = 1
-            for o in others:
-                den = den * (i - o) % p
-            inv = pow(den, p - 2, p)
-            coeffs = [c * inv % p for c in num]
-            rows.append([sum(c * pow(a, k, p) for k, c in enumerate(coeffs)) % p for a in self.eval_points])
-        return np.array(rows, dtype=np.uint64)
-
-    @cached_property
-    def _basis_coeffs(self) -> np.ndarray:
-        """(pack, degree+1): coefficients of L_i, zero padded."""
-        p = self.prime
-        rows = []
-        for i in self.secret_points:
-            others = [e for e in self.secret_points if e != i]
-            num = poly_from_roots(list(others), p)
-            den = 1
-            for o in others:
-                den = den * (i - o) % p
-            inv = pow(den, p - 2, p)
-            coeffs = [c * inv % p for c in num] + [0] * (self.degree + 1 - self.pack)
-            rows.append(coeffs)
-        return np.array(rows, dtype=np.uint64)
-
-    @cached_property
-    def _vanishing_eval(self) -> np.ndarray:
-        """(N,): Z(alpha_j) with Z = prod (x - e_i)."""
-        p = self.prime
-        z = poly_from_roots(list(self.secret_points), p)
-        return np.array(
-            [sum(c * pow(a, k, p) for k, c in enumerate(z)) % p for a in self.eval_points],
-            dtype=np.uint64,
-        )
-
-    @cached_property
-    def _vanishing_conv(self) -> np.ndarray:
-        """(degree-pack+1, degree+1): row r = coefficients of x^r * Z(x)."""
-        p = self.prime
-        z = poly_from_roots(list(self.secret_points), p)
-        n_rows = self.degree - self.pack + 1
-        mat = np.zeros((n_rows, self.degree + 1), dtype=np.uint64)
-        for r in range(n_rows):
-            shifted = [0] * r + z
-            mat[r, : len(shifted)] = shifted
-        return mat
-
-    @cached_property
-    def _rand_eval(self) -> np.ndarray:
-        """(degree-pack+1, N): alpha_j^r * Z(alpha_j), the random part's map."""
-        powers = fastops.vandermonde(self.eval_points, self.degree - self.pack + 1, self.prime)
-        return fastops.mul_mod(powers, self._vanishing_eval[None, :], self.prime)
-
     @cached_property
     def _deal_matrix(self) -> np.ndarray:
-        """(degree+1, N+degree+1): maps a row [secrets | q] to [shares | coefficients]."""
-        return np.block(
-            [[self._basis_eval, self._basis_coeffs], [self._rand_eval, self._vanishing_conv]]
-        )
+        """(degree+1, N+degree+1): maps a row [secrets | q] to [shares | coefficients].
+
+        The right block holds coefficient rows: the Lagrange basis over the
+        secret points, then x^r * Z(x) for r = 0..degree-pack.  The left block
+        is the same rows evaluated at the parties' points.
+        """
+        p, d, l = self.prime, self.degree, self.pack
+        coeffs = np.zeros((d + 1, d + 1), dtype=np.uint64)
+        coeffs[:l, :l] = lagrange_basis(list(self.secret_points), p)
+        z = poly_from_roots(list(self.secret_points), p)
+        for r in range(d - l + 1):
+            coeffs[l + r, r : r + l + 1] = z
+        evals = fastops.matmul_mod(coeffs, fastops.vandermonde(self.eval_points, d + 1, p), p)
+        return np.hstack([evals, coeffs])
 
 
 @dataclass

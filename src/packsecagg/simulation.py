@@ -32,13 +32,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .channel import SERVER_ID, ServerMailbox
+from .channel import ServerMailbox
 from .field import DEFAULT_SCALE
 from .protocol import (
     ClientFlags,
     ProtocolAbort,
     ProtocolConfig,
-    ProtocolError,
     build_sessions,
     plaintext_trust_step,
     run_iteration,

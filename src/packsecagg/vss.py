@@ -57,7 +57,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import fastops
-from .field import f_inv, is_probable_prime
+from .field import is_probable_prime
 
 
 class CommitmentError(ValueError):
@@ -394,7 +394,7 @@ class ConstantScheme:
     name = "constant"
     needs_witness = True
 
-    def __init__(self, prime: int, max_degree: int, setup_seed: int = 0, fast: bool = False):
+    def __init__(self, prime: int, max_degree: int, setup_seed: int = 0):
         self.prime = prime
         self.max_degree = max_degree
         rng = np.random.default_rng(np.random.SeedSequence([0x5E70, setup_seed]))
@@ -462,5 +462,5 @@ def make_scheme(kind: str, prime: int, max_degree: int, fast: bool = False, setu
     if kind == "coefficient":
         return CoefficientScheme(prime, max_degree, fast=fast)
     if kind == "constant":
-        return ConstantScheme(prime, max_degree, setup_seed=setup_seed, fast=fast)
+        return ConstantScheme(prime, max_degree, setup_seed=setup_seed)
     raise CommitmentError(f"unknown commitment scheme {kind!r}")

@@ -12,10 +12,9 @@ import sys
 import time
 
 import numpy as np
-import pytest
 
 from packsecagg import bench, dotprod, fastops, simulation
-from packsecagg.channel import SERVER_ID, ServerMailbox
+from packsecagg.channel import ServerMailbox
 from packsecagg.field import (
     DEFAULT_SCALE,
     MERSENNE61,

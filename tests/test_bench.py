@@ -1,6 +1,5 @@
 """Accounting tests: byte predictor vs. measured counters, sweeps, timings."""
 
-import numpy as np
 import pytest
 
 from packsecagg import bench
@@ -9,7 +8,6 @@ from packsecagg.protocol import (
     PHASES,
     R_FINAL,
     ProtocolConfig,
-    ProtocolError,
     build_sessions,
     run_iteration,
 )

@@ -5,7 +5,6 @@ import pytest
 from packsecagg.channel import (
     DEFAULT_SIZE_MODEL,
     SIGNATURE_BYTES,
-    AuthenticationError,
     ChannelError,
     DecryptionError,
     Envelope,

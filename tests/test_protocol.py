@@ -45,6 +45,7 @@ from packsecagg.protocol import (
     run_iteration,
     trust_numerator,
 )
+from packsecagg.sharing import serialize_elems
 from packsecagg.vss import CommitmentBatch, ints_to_limbs, limbs_to_ints, make_scheme
 
 BASE = dict(n_clients=20, dim=64, pack=4, reshare_pack=4, degree=8, seed=3)
@@ -454,6 +455,85 @@ def test_truncated_signed_share_upload_makes_a_non_respondent(rnd):
     assert rule.hits == 1
     assert 4 not in res.respondents[rnd]
     assert_matches_oracle(res, grads, root, cfg.scale)
+
+
+def test_share_bundle_cut_after_its_witness_count_gets_its_dealer_voted_out():
+    # client 4 seals each peer its share column and the witness count, but
+    # no witness flag bytes; before, reading the first flag past the end of
+    # the bundle raised IndexError out of run_iteration
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    server, clients = build_sessions(cfg)
+    dealer = clients[4]
+
+    def seal(rnd, sharing, batch, shares, aad, bad_witnesses=False):
+        for peer in dealer.roster0:
+            if peer != dealer.id:
+                plain = serialize_elems(shares[:, peer - 1]) + struct.pack("<I", shares.shape[0])
+                box = dealer.crypto.box_with(peer, dealer.directory)
+                yield peer, box.seal(rnd, dealer.iteration, plain, aad=aad)
+
+    dealer._seal_columns = seal
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, ServerMailbox(), 0, weights, grads, root)
+    assert all(clients[u].reported == [4] for u in clients if u != 4)
+    assert res.excluded == [4]
+    assert_matches_oracle(res, grads, root, cfg.scale, roster=res.roster)
+
+
+def _resign_to_every_client(server, cfg, rnd, signed_for, edit):
+    """One rule per client that applies `edit` to the server's message in
+    round `rnd` and signs the result again with the server's key."""
+    return [
+        TamperRule(
+            round=rnd,
+            sender=SERVER_ID,
+            recipient=u,
+            mutate=edit_and_resign(
+                server.crypto, SERVER_ID, u if signed_for is None else signed_for, rnd, edit
+            ),
+        )
+        for u in range(1, cfg.n_clients + 1)
+    ]
+
+
+def test_model_roster_naming_an_unknown_client_aborts():
+    # the server signs a roster with an extra id 99; before, every client
+    # raised IndexError while sealing a share column for party 99
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    server, clients = build_sessions(cfg)
+    # header, weights (u32 count, f64 each), reference norm, norm bound
+    at = 5 + 4 + 8 * cfg.dim + 8 + 8
+
+    def add_unknown_id(body):
+        (n,) = struct.unpack_from("<I", body, at)
+        end = at + 4 + 4 * n
+        return body[:at] + struct.pack("<I", n + 1) + body[at + 4 : end] + struct.pack("<I", 99) + body[end:]
+
+    rules = _resign_to_every_client(server, cfg, R_MODEL, None, add_unknown_id)
+    weights, grads, root = make_inputs(cfg)
+    with pytest.raises(ProtocolAbort, match=f"round {R_SHARE}: 0 respondents"):
+        run_iteration(cfg, server, clients, ServerMailbox(tamper_rules=rules), 0, weights, grads, root)
+    assert all(rule.hits == 1 for rule in rules)
+
+
+def test_trust_message_with_a_numerator_missing_aborts():
+    # the server signs one trust numerator fewer than its roster names;
+    # before, every client's aggregate product raised ValueError
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    server, clients = build_sessions(cfg)
+
+    def drop_last_numerator(body):
+        (n_ids,) = struct.unpack_from("<I", body, 5)
+        at = 5 + 4 + 4 * n_ids
+        (n,) = struct.unpack_from("<I", body, at)
+        end = at + 4 + 8 * n
+        return body[:at] + struct.pack("<I", n - 1) + body[at + 4 : end - 8] + body[end:]
+
+    rules = _resign_to_every_client(server, cfg, R_FINAL, BROADCAST, drop_last_numerator)
+    weights, grads, root = make_inputs(cfg)
+    with pytest.raises(ProtocolAbort, match=f"round {R_AGG}: 0 respondents"):
+        run_iteration(cfg, server, clients, ServerMailbox(tamper_rules=rules), 0, weights, grads, root)
+    assert all(rule.hits == 1 for rule in rules)
 
 
 def test_too_many_wrong_computations_abort_naming_the_round():

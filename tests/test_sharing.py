@@ -8,7 +8,7 @@ import pytest
 
 from packsecagg import fastops
 from packsecagg.field import MERSENNE61
-from packsecagg.poly import matmul_mod_py, poly_eval
+from packsecagg.poly import lagrange_coeffs, lagrange_weights_at, matmul_mod_py, poly_eval
 from packsecagg.sharing import (
     ShareError,
     SharingConfig,
@@ -22,6 +22,14 @@ from packsecagg.sharing import (
 
 CFG_SMALL = SharingConfig(prime=127, n_parties=9, pack=2, degree=3)
 CFG_BIG = SharingConfig(prime=MERSENNE61, n_parties=12, pack=3, degree=5)
+CFG_NO_RANDOMNESS = SharingConfig(prime=MERSENNE61, n_parties=5, pack=3, degree=2)
+
+
+def deal_blocks(cfg):
+    """The four blocks of the dealing matrix: the secrets' and the random
+    part's rows, evaluated at the parties' points and as coefficients."""
+    m, n, l = cfg._deal_matrix, cfg.n_parties, cfg.pack
+    return m[:l, :n], m[l:, :n], m[:l, n:], m[l:, n:]
 
 
 def test_config_validation():
@@ -125,16 +133,17 @@ def test_small_subsets_leak_nothing():
     # joint distributions whatever the secrets (exhaustive, tiny field)
     cfg = SharingConfig(prime=31, n_parties=6, pack=2, degree=3)
     p = cfg.prime
+    basis_eval, rand_eval, _, _ = deal_blocks(cfg)
 
     def distribution(secrets, positions):
         counts = Counter()
         base = fastops.matmul_mod(
-            fastops.as_elems(np.array([secrets]), p), cfg._basis_eval, p
+            fastops.as_elems(np.array([secrets]), p), basis_eval, p
         )[0]
         for q0 in range(p):
             for q1 in range(p):
                 qv = fastops.matmul_mod(
-                    np.array([[q0, q1]], dtype=np.uint64), cfg._rand_eval, p
+                    np.array([[q0, q1]], dtype=np.uint64), rand_eval, p
                 )[0]
                 sh = fastops.add_mod(base, qv, p)
                 counts[tuple(int(sh[j]) for j in positions)] += 1
@@ -172,5 +181,46 @@ def test_fused_dealing_matches_the_four_product_formula(cfg):
         y = matmul_mod_py(q.tolist(), right.tolist(), p)
         return [[(u + v) % p for u, v in zip(rx, ry)] for rx, ry in zip(x, y)]
 
-    assert batch.shares.tolist() == two_products(cfg._basis_eval, cfg._rand_eval)
-    assert batch.coeffs.tolist() == two_products(cfg._basis_coeffs, cfg._vanishing_conv)
+    basis_eval, rand_eval, basis_coeffs, vanishing_conv = deal_blocks(cfg)
+    assert batch.shares.tolist() == two_products(basis_eval, rand_eval)
+    assert batch.coeffs.tolist() == two_products(basis_coeffs, vanishing_conv)
+
+
+@pytest.mark.parametrize(
+    "cfg", [CFG_SMALL, CFG_BIG, CFG_NO_RANDOMNESS], ids=["small", "big", "no_randomness"]
+)
+def test_deal_matrix_blocks_match_poly_references(cfg):
+    # each block against an independent pure-Python reference: the secrets'
+    # rows are the Lagrange basis over the secret points, the random part's
+    # row r is x^r * Z(x) with Z the vanishing polynomial of those points
+    p, d, es = cfg.prime, cfg.degree, list(cfg.secret_points)
+    basis_eval, rand_eval, basis_coeffs, vanishing_conv = deal_blocks(cfg)
+    assert rand_eval.shape == (d - cfg.pack + 1, cfg.n_parties)
+    assert vanishing_conv.shape == (d - cfg.pack + 1, d + 1)
+
+    def x_r_z(r, x):
+        out = pow(x, r, p)
+        for e in es:
+            out = out * (x - e) % p
+        return out
+
+    for j, a in enumerate(cfg.eval_points):
+        assert basis_eval[:, j].tolist() == lagrange_weights_at(es, a, p)
+        for r in range(d - cfg.pack + 1):
+            assert int(rand_eval[r, j]) == x_r_z(r, a)
+            assert poly_eval(vanishing_conv[r].tolist(), a, p) == x_r_z(r, a)
+    for i in range(cfg.pack):
+        unit = [int(k == i) for k in range(cfg.pack)]
+        ref = lagrange_coeffs(es, unit, p)
+        assert basis_coeffs[i].tolist() == ref + [0] * (d + 1 - len(ref))
+
+
+def test_dealing_without_random_part_reconstructs():
+    # degree pack-1 leaves no random coefficients: the polynomial is the
+    # secrets' interpolant, and any degree+1 shares recover it
+    cfg = CFG_NO_RANDOMNESS
+    secrets = fastops.rand_elems(np.random.default_rng(5), (4, cfg.pack), cfg.prime)
+    batch = share_batch(cfg, secrets, np.random.default_rng(6))
+    for parties in itertools.combinations(range(1, cfg.n_parties + 1), cfg.degree + 1):
+        got = reconstruct(cfg, list(parties), batch.shares[:, [j - 1 for j in parties]])
+        assert np.array_equal(got, secrets)

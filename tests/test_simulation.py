@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from packsecagg import simulation as sim
+from packsecagg.channel import SERVER_ID
 from packsecagg.simulation import Behavior, SyntheticTask
 
 
@@ -185,7 +186,7 @@ def test_experiment_deterministic_metrics():
     assert a.weights.tobytes() == b.weights.tobytes()
     assert a.to_csv().splitlines()[0].startswith("protocol,seed,iteration,accuracy")
     assert len(a.accuracy) == 3 and not a.aborts
-    assert a.total_bytes(1) > 0 and a.total_bytes(sim.SERVER_ID) > 0
+    assert a.total_bytes(1) > 0 and a.total_bytes(SERVER_ID) > 0
     c = sim.run_experiment(task, None, "secure", 3, seed=10)
     assert c.digest() != a.digest()
 

@@ -14,7 +14,6 @@ from packsecagg.field import MERSENNE61, is_probable_prime
 from packsecagg.sharing import SharingConfig, share_batch
 from packsecagg.vss import (
     CoefficientScheme,
-    Commitment,
     CommitmentBatch,
     CommitmentError,
     ConstantScheme,
