@@ -54,10 +54,6 @@ class ChannelError(Exception):
     """Base class for transport failures."""
 
 
-class AuthenticationError(ChannelError):
-    """Signature did not verify."""
-
-
 class DecryptionError(ChannelError):
     """Ciphertext failed authentication or decryption."""
 

@@ -169,7 +169,6 @@ def recover_packed_values(
     parties: list[int],
     share_matrix: np.ndarray,
     n_values: int,
-    error_budget: int | None = None,
 ) -> tuple[np.ndarray, list[int]]:
     """Decode consecutive-packed degree-d sharings back to their values.
 
@@ -180,7 +179,7 @@ def recover_packed_values(
     """
     share_matrix = np.atleast_2d(share_matrix)
     xs = [cfg.eval_point(pid) for pid in parties]
-    results = rs_decode_batch(xs, share_matrix.T, cfg.degree, cfg.prime, error_budget)
+    results = rs_decode_batch(xs, share_matrix.T, cfg.degree, cfg.prime)
     offenders: set[int] = set()
     coeff_mat = np.zeros((len(results), cfg.degree + 1), dtype=np.uint64)
     for k, res in enumerate(results):
@@ -219,7 +218,6 @@ def pipeline_dot_products(
     root_vec: np.ndarray,
     rng: np.random.Generator,
     final_senders: list[int] | None = None,
-    error_budget: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Run the whole share/multiply/re-share/reduce/decode pipeline in one
     process: every party is simulated honestly, no transport or crypto.
@@ -256,7 +254,7 @@ def pipeline_dot_products(
         finals[row] = combine_reshares(weights, received, p)
 
     values, offenders = recover_packed_values(
-        reshare_cfg, recipients, finals, 2 * n_groups * reshare_cfg.pack, error_budget
+        reshare_cfg, recipients, finals, 2 * n_groups * reshare_cfg.pack
     )
     dots, norms = dots_and_norms(values, n_users, p)
     return dots, norms, offenders

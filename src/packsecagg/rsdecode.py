@@ -9,13 +9,14 @@ exact quotient.  Honest inputs take a fast interpolate-and-verify path.
 
 Batches of codewords over one point set (`rs_decode_batch`) are treated as an
 interleaved code.  A party that computes wrongly corrupts its whole column, so
-the dirty rows share one error support.  One Berlekamp-Welch run on a random
-linear combination of the dirty rows locates that support: the union of the
-rows' supports, unless the random coefficients make an error cancel, which
-happens at each position with probability about 1/p.  The located positions
-are then erased, and every dirty row is interpolated from kept points and
-verified in one vectorized pass.  A row the pass cannot explain is decoded on its own, so the
-result never depends on the random coefficients: see `rs_decode_batch`.
+the dirty rows share error columns.  The batch decoder grows a set of erased
+columns: it interpolates every row from points outside the set in one
+vectorized pass, accepts each row within the error budget of its interpolant,
+decodes the first row left on its own, and erases that row's error positions.
+Each single-row decode erases at least one new wrong column, so while d + 1
+columns stay unerased a batch costs at most one Berlekamp-Welch run per
+distinct wrong column, however the errors are spread over the rows.  The
+result equals per-row decoding exactly.
 """
 
 from __future__ import annotations
@@ -130,80 +131,51 @@ def _interp_matrix(head: tuple[int, ...], p: int) -> np.ndarray:
     return np.array(lagrange_basis(list(head), p), dtype=np.uint64)
 
 
-def rs_decode_batch(
-    xs: list[int],
-    ys_mat: np.ndarray,
-    degree: int,
-    p: int,
-    error_budget: int | None = None,
-) -> list[DecodeResult]:
+def rs_decode_batch(xs: list[int], ys_mat: np.ndarray, degree: int, p: int) -> list[DecodeResult]:
     """Decode many codewords sharing one evaluation-point set.
 
     Rows of ys_mat are independent codewords over the same xs.  The result
     equals `rs_decode` applied row by row: the same coefficients and error
     positions, and a DecodingError wherever a row raises one.
 
-    Clean rows are recovered by one batched interpolate-and-verify pass.  The
-    dirty rows then go through `_decode_located`: a single decode of a random
-    combination of them locates the error positions E, and each dirty row is
-    re-interpolated with E erased.  A row that agrees with its interpolant on
-    every point outside E is within distance |E| <= error budget of a degree-d
-    polynomial; that codeword is unique, so per-row Berlekamp-Welch would
-    return it with the same disagreeing positions.  Rows the pass cannot
-    explain, or all dirty rows if the combined decode raises, fall back to the
-    per-row decoder.
+    One loop grows an erased column set E, empty at first.  Each pass
+    interpolates every undecoded row from the first degree+1 points outside
+    E and accepts the rows that disagree with their interpolant in at most
+    `max_errors` places.  Such a row is within the error budget of a
+    degree-d polynomial; since n - d exceeds twice the budget, that codeword
+    is unique, so `rs_decode` would return it with the same disagreeing
+    positions.  The first row left is then decoded alone, its error
+    positions join E, and the pass repeats on the rest.  A row whose errors
+    all lie in E is always accepted, so each single-row decode adds a new
+    wrong column to E: until E leaves fewer than degree+1 points, a batch
+    costs at most one single-row decode per distinct wrong column.  After
+    that, the rows left are decoded one by one.
     """
     ys_mat = np.atleast_2d(fastops.as_elems(ys_mat, p))
     n = len(xs)
     if ys_mat.shape[1] != n:
         raise ValueError("share matrix width must match point count")
+    if len(set(xs)) != n:
+        raise ValueError("evaluation points must be distinct")
     if n < degree + 1:
         raise DecodingError(f"{n} shares cannot determine degree {degree}")
     xs = [x % p for x in xs]
-    interp = _interp_matrix(tuple(xs[: degree + 1]), p)
-    coeff_mat = fastops.matmul_mod(ys_mat[:, : degree + 1], interp, p)
-    evals = fastops.poly_eval_many(coeff_mat, xs, p)
-    clean = (evals == ys_mat).all(axis=1)
-    out = [
-        DecodeResult(poly_trim([int(c) for c in row]), []) if ok else None
-        for row, ok in zip(coeff_mat, clean)
-    ]
-    dirty = np.flatnonzero(~clean)
-    if dirty.size:
-        for r, res in zip(dirty, _decode_located(xs, ys_mat[dirty], degree, p, error_budget)):
-            if res is None:
-                res = rs_decode(xs, [int(v) for v in ys_mat[r]], degree, p, error_budget)
-            out[r] = res
+    budget = max_errors(n, degree)
+    out: list[DecodeResult | None] = [None] * ys_mat.shape[0]
+    todo, rows = np.arange(ys_mat.shape[0]), ys_mat
+    erased: set[int] = set()
+    while todo.size:
+        head = [i for i in range(n) if i not in erased][: degree + 1]
+        if len(head) > degree:
+            interp = _interp_matrix(tuple(xs[i] for i in head), p)
+            coeff_mat = fastops.matmul_mod(rows[:, head], interp, p)
+            wrong = fastops.poly_eval_many(coeff_mat, xs, p) != rows
+            ok = wrong.sum(axis=1) <= budget
+            for r, coeffs, bad in zip(todo[ok], coeff_mat[ok], wrong[ok]):
+                out[r] = DecodeResult(poly_trim(coeffs.tolist()), np.flatnonzero(bad).tolist())
+            todo, rows = todo[~ok], rows[~ok]
+        if todo.size:
+            out[todo[0]] = rs_decode(xs, rows[0].tolist(), degree, p)
+            erased.update(out[todo[0]].error_positions)
+            todo, rows = todo[1:], rows[1:]
     return out
-
-
-def _mixing_coeffs(n: int, p: int) -> np.ndarray:
-    """Nonzero combination coefficients from unseeded OS entropy."""
-    return np.random.default_rng().integers(1, p, size=n, dtype=np.uint64)
-
-
-def _decode_located(
-    xs: list[int], ys_mat: np.ndarray, degree: int, p: int, error_budget: int | None
-) -> list[DecodeResult | None]:
-    """Decode dirty rows with their errors located once for the whole batch.
-
-    Returns one entry per row: its DecodeResult, or None where the row
-    disagrees outside the located positions; all None when the combined row
-    itself cannot be decoded.
-    """
-    mix = _mixing_coeffs(ys_mat.shape[0], p)
-    combined = fastops.matmul_mod(mix[None, :], ys_mat, p)[0]
-    try:
-        erased = set(rs_decode(xs, combined.tolist(), degree, p, error_budget).error_positions)
-    except DecodingError:
-        return [None] * ys_mat.shape[0]
-    kept = [i for i in range(len(xs)) if i not in erased]
-    head = kept[: degree + 1]
-    interp = _interp_matrix(tuple(xs[i] for i in head), p)
-    coeff_mat = fastops.matmul_mod(ys_mat[:, head], interp, p)
-    wrong = fastops.poly_eval_many(coeff_mat, xs, p) != ys_mat
-    explained = ~wrong[:, kept].any(axis=1)
-    return [
-        DecodeResult(poly_trim(coeffs.tolist()), np.flatnonzero(bad).tolist()) if ok else None
-        for coeffs, bad, ok in zip(coeff_mat, wrong, explained)
-    ]

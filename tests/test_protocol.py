@@ -35,6 +35,7 @@ from packsecagg.protocol import (
     R_MODEL,
     R_RESHARE,
     R_SHARE,
+    _HEADER,
     _commit_blob,
     _read_commit_limbs,
     _Reader,
@@ -45,7 +46,7 @@ from packsecagg.protocol import (
     run_iteration,
     trust_numerator,
 )
-from packsecagg.sharing import serialize_elems
+from packsecagg.sharing import deserialize_elems, serialize_elems
 from packsecagg.vss import CommitmentBatch, ints_to_limbs, limbs_to_ints, make_scheme
 
 BASE = dict(n_clients=20, dim=64, pack=4, reshare_pack=4, degree=8, seed=3)
@@ -342,6 +343,37 @@ def test_truncated_signed_reshare_broadcast_makes_a_non_respondent():
     for rnd in (R_RESHARE, R_FINAL, R_AGG):
         assert 4 not in res.respondents[rnd]
     assert_matches_oracle(res, grads, root, cfg.scale)
+
+
+def add_one_off_residue(k):
+    """Body edit that adds 1 to every final-vector entry j with j mod 4 != k."""
+
+    def edit(body):
+        vals, _ = deserialize_elems(body, _HEADER.size)
+        hit = np.arange(vals.size) % 4 != k
+        vals[hit] = (vals[hit] + 1) % np.uint64(MERSENNE61)
+        return body[: _HEADER.size] + serialize_elems(vals)
+
+    return edit
+
+
+def test_spread_final_vector_errors_are_corrected_in_few_decodes(nullspace_calls):
+    # four clients re-sign round-3 final vectors, each sparing one residue
+    # class of entries: every codeword then has 3 errors against a budget of
+    # 3, but the union of wrong columns is 4, beyond any one codeword's budget
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    server, clients = build_sessions(cfg)
+    rules = []
+    for k, u in enumerate((2, 5, 7, 9)):
+        mutate = edit_and_resign(clients[u].crypto, u, SERVER_ID, R_FINAL, add_one_off_residue(k))
+        rules.append(TamperRule(round=R_FINAL, sender=u, recipient=SERVER_ID, mutate=mutate))
+    mailbox = ServerMailbox(tamper_rules=rules)
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, mailbox, 0, weights, grads, root)
+    assert [rule.hits for rule in rules] == [1, 1, 1, 1]
+    assert res.offenders == [2, 5, 7, 9]
+    assert_matches_oracle(res, grads, root, cfg.scale, roster=res.roster)
+    assert len(nullspace_calls) <= 5  # the erased-set loop makes 2
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from packsecagg import rsdecode
 from packsecagg.field import MERSENNE61
 from packsecagg.poly import poly_eval, poly_trim
 from packsecagg.rsdecode import DecodingError, max_errors, rs_decode, rs_decode_batch
@@ -95,6 +94,9 @@ def test_beyond_budget_raises_not_silent():
 def test_duplicate_points_rejected():
     with pytest.raises(ValueError):
         rs_decode([1, 1, 2, 3], [0, 0, 0, 0], 1, 31)
+    for xs in ([1, 1, 2, 3], [1, 2, 3, 1]):
+        with pytest.raises(ValueError, match="distinct"):
+            rs_decode_batch(xs, np.zeros((1, 4), dtype=np.uint64), 1, 31)
 
 
 # ---------------------------------------------------------------------------
@@ -157,49 +159,34 @@ def _assert_batch_equals_per_row(rows):
     return expect
 
 
-@pytest.fixture
-def nullspace_calls(monkeypatch):
-    calls = []
-    real = rsdecode.nullspace_vector
-
-    def counting(rows, p):
-        calls.append(len(rows))
-        return real(rows, p)
-
-    monkeypatch.setattr(rsdecode, "nullspace_vector", counting)
-    return calls
-
-
 def test_batch_shared_columns_locate_once(nullspace_calls):
     rows, _ = _batch_rows(31)
     got = _batch(rows)
-    assert len(nullspace_calls) == 1  # one decode of the combined row
+    assert len(nullspace_calls) == 1  # the first dirty row, decoded alone
     assert {tuple(r.error_positions) for r in got} == {(), SHARED[:1], SHARED}
     assert _pairs(got) == _pairs(_per_row(rows))
 
 
 def test_batch_extra_error_off_the_shared_columns():
-    # the extra column joins the located set, so the row is still explained
+    # the extra column lies outside the next interpolation head, so the row
+    # is accepted in the same pass as the rows with the shared columns only
     rows, rng = _batch_rows(32)
     _corrupt(rng, rows[4], [9])
     expect = _assert_batch_equals_per_row(rows)
     assert expect[4].error_positions == [0, 7, 9, 15]
 
 
-def test_batch_row_the_located_pass_cannot_explain_falls_back(monkeypatch, nullspace_calls):
-    # a zero coefficient hides row 4's extra error from the combined row, as a
-    # predictable coefficient could let errors cancel: the row must take the
-    # per-row decoder and still come out exact
+def test_batch_row_with_an_error_in_the_next_head_takes_one_more_decode(nullspace_calls):
+    # once the shared columns are erased, the next pass interpolates from
+    # columns 1..6; row 4's extra error at column 1 puts it off its
+    # interpolant, so it is decoded alone, and column 1 joins the erased set
     rows, rng = _batch_rows(33)
-    _corrupt(rng, rows[4], [9])
+    _corrupt(rng, rows[4], [1])
     expect = _per_row(rows)
-    dirty = [r for r, e in enumerate(expect) if e.error_positions]
-    mix = np.ones(len(dirty), dtype=np.uint64)
-    mix[dirty.index(4)] = 0
-    monkeypatch.setattr(rsdecode, "_mixing_coeffs", lambda n, p: mix)
+    assert expect[4].error_positions == [0, 1, 7, 15]
     nullspace_calls.clear()
     got = _batch(rows)
-    assert len(nullspace_calls) == 2  # the combined row, then row 4 alone
+    assert len(nullspace_calls) == 2  # the first dirty row, then row 4 alone
     assert _pairs(got) == _pairs(expect)
 
 
@@ -210,16 +197,52 @@ def test_batch_row_beyond_the_budget_raises():
     assert expect[5] is None
 
 
-def test_batch_union_beyond_the_budget_falls_back_whole(nullspace_calls):
-    # every row is within budget, but together they touch every column
-    rng = np.random.default_rng(35)
+def _spread_batch(xs, degree, n_rows, wrong_cols, seed):
+    """n_rows random codewords over xs; row r is corrupted on wrong_cols(r)."""
+    rng = np.random.default_rng(seed)
     rows = []
-    for r in range(30):
-        ys = _codeword([int(v) for v in rng.integers(0, P, BATCH_DEG + 1)], BATCH_XS, P)
-        _corrupt(rng, ys, [r % 18, (r + 5) % 18])
+    for r in range(n_rows):
+        ys = _codeword([int(v) for v in rng.integers(0, P, degree + 1)], xs, P)
+        _corrupt(rng, ys, wrong_cols(r))
         rows.append(ys)
+    return rows
+
+
+SPREAD_PATTERNS = {
+    # every row within budget, but together they touch every column
+    "pairs over all 18": (BATCH_XS, BATCH_DEG, 30, lambda r: [r % 18, (r + 5) % 18]),
+    # 7 columns wrong, row r spares column r mod 7: 6 errors against budget 6
+    "7 columns, one spared": (
+        BATCH_XS, BATCH_DEG, 30, lambda r: [c for c in range(7) if c != r % 7]
+    ),
+    # honest_wide's decode shape: 12 of 40 parties wrong, each row sparing one
+    "12 of 40, one spared": (
+        list(range(1, 41)), 16, 48, lambda r: [c for c in range(12) if c != r % 12]
+    ),
+}
+
+
+@pytest.mark.parametrize("pattern", list(SPREAD_PATTERNS))
+def test_batch_spread_errors_cost_at_most_one_decode_per_wrong_column(pattern, nullspace_calls):
+    xs, degree, n_rows, wrong_cols = SPREAD_PATTERNS[pattern]
+    rows = _spread_batch(xs, degree, n_rows, wrong_cols, 35)
+    wrong = set().union(*(wrong_cols(r) for r in range(n_rows)))
+    got = rs_decode_batch(xs, np.array(rows, dtype=np.uint64), degree, P)
+    assert len(nullspace_calls) <= len(wrong)
+    assert _pairs(got) == _pairs([rs_decode(xs, ys, degree, P) for ys in rows])
+
+
+def test_batch_erasing_all_but_degree_points_decodes_the_rest_row_by_row(nullspace_calls):
+    # each pass interpolates from the next six unerased columns, and rows 0-2
+    # err inside them in turn, so the erased set grows to columns 0-14 and
+    # leaves three points for degree 5; rows 3-7 err on one column of every
+    # head, so no pass accepts them and each is decoded alone at the end
+    first = [list(range(6)), list(range(5, 11)), [0, 6, 11, 12, 13, 14]]
+    rows = _spread_batch(
+        BATCH_XS, BATCH_DEG, 8, lambda r: first[r] if r < 3 else [r - 3, r + 3, r + 9], 37
+    )
     got = _batch(rows)
-    assert len(nullspace_calls) == 1 + 30
+    assert len(nullspace_calls) == 8
     assert _pairs(got) == _pairs(_per_row(rows))
 
 
