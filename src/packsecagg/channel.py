@@ -27,7 +27,8 @@ import hashlib
 import hmac
 import struct
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Iterable
 
 from cryptography.exceptions import InvalidSignature, InvalidTag
@@ -154,7 +155,7 @@ class Directory:
         except KeyError:
             return False
         if self.mode == "fast":
-            want = pad_to(hmac.new(key, data, hashlib.sha256).digest(), SIGNATURE_BYTES)
+            want = pad_to(hmac.digest(key, data, "sha256"), SIGNATURE_BYTES)
             return hmac.compare_digest(want, signature)
         try:
             key.verify(signature, data)
@@ -213,7 +214,7 @@ class PartyCrypto:
 
     def sign(self, data: bytes) -> bytes:
         if self.mode == "fast":
-            return pad_to(hmac.new(self._sig_key, data, hashlib.sha256).digest(), SIGNATURE_BYTES)
+            return pad_to(hmac.digest(self._sig_key, data, "sha256"), SIGNATURE_BYTES)
         return self._sig_key.sign(data)
 
     def box_with(self, peer_id: int, directory: Directory) -> PairwiseBox:
@@ -290,18 +291,31 @@ class ServerMailbox:
 
     def submit(self, env: Envelope) -> bool:
         """Accept an envelope for forwarding; drops silently if the sender or
-        the recipient is scheduled as dropped.  Returns acceptance."""
+        the recipient is scheduled as dropped.  The envelope itself is stored,
+        unless a tamper rule rewrites its wire form: then the rewritten form
+        is metered and stored, or dropped if it no longer parses as an
+        envelope.  Returns acceptance."""
         if self.is_silent(env.sender, env.round):
             return False
-        wire = env.to_wire()
-        for rule in self.tamper_rules:
-            if rule.matches(env):
+        size = env.wire_bytes
+        stored: Envelope | None = env
+        rules = [rule for rule in self.tamper_rules if rule.matches(env)]
+        if rules:
+            wire = env.to_wire()
+            for rule in rules:
                 wire = rule.mutate(wire)
                 rule.hits += 1
-        self.up_bytes[(env.sender, env.round)] += len(wire)
+            size = len(wire)
+            try:
+                stored = Envelope.from_wire(wire)
+            except ChannelError:
+                stored = None
+        self.up_bytes[(env.sender, env.round)] += size
         self.message_count += 1
+        if stored is None:
+            return False
         if not self.is_silent(env.recipient, env.round):
-            self._store[(env.recipient, env.round)].append(Envelope.from_wire(wire))
+            self._store[(env.recipient, env.round)].append(stored)
         return True
 
     def submit_all(self, envs: Iterable[Envelope]) -> None:
@@ -313,14 +327,14 @@ class ServerMailbox:
         upload was already metered at submission; only the recipient's
         download will be counted, at delivery."""
         if not self.is_silent(recipient, env.round):
-            self._store[(recipient, env.round)].append(replace(env, recipient=recipient))
+            self._store[(recipient, env.round)].append(Envelope(env.sender, recipient, env.round, env.body))
 
     def deliver(self, recipient: int, rnd: int) -> list[Envelope]:
         """Hand over everything queued for (recipient, round), ordered by
         sender id, and meter the download."""
-        envs = sorted(self._store.pop((recipient, rnd), []), key=lambda e: e.sender)
-        for env in envs:
-            self.down_bytes[(recipient, rnd)] += env.wire_bytes
+        envs = sorted(self._store.pop((recipient, rnd), []), key=attrgetter("sender"))
+        if envs:
+            self.down_bytes[(recipient, rnd)] += sum(env.wire_bytes for env in envs)
         return envs
 
     def discard_undelivered(self) -> int:

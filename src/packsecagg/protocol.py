@@ -37,7 +37,7 @@ import struct
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from .field import (
 )
 from .rsdecode import DecodingError
 from .sharing import SharingConfig, deserialize_elems, serialize_elems
-from .vss import CommitmentBatch, Witness, limbs_to_ints, make_scheme
+from .vss import CommitmentBatch, Witness, ints_to_limbs, limbs_to_ints, make_scheme
 
 BROADCAST = 0xFFFFFFFF
 
@@ -310,8 +310,13 @@ class _Reader:
         self.off += n
         return out
 
-    def blob(self) -> bytes:
-        return self.raw(self.u32())
+    def last_blob(self) -> bytes:
+        """The length-prefixed blob that must end the message."""
+        n = self.u32()
+        if self.off + n != len(self.buf):
+            raise ProtocolError("message does not end with its last blob")
+        self.off += n
+        return self.buf[self.off - n :]
 
     def elems(self) -> np.ndarray:
         start = self.off
@@ -321,7 +326,10 @@ class _Reader:
 
     def ids(self) -> list[int]:
         n = self.u32()
-        return [self.u32() for _ in range(n)]
+        self.need(4 * n)
+        out = list(struct.unpack_from(f"<{n}I", self.buf, self.off))
+        self.off += 4 * n
+        return out
 
     def floats(self) -> np.ndarray:
         n = self.u32()
@@ -342,10 +350,6 @@ def _ids_blob(ids) -> bytes:
 def _floats_blob(arr) -> bytes:
     arr = np.asarray(arr, dtype=np.float64)
     return struct.pack("<I", arr.size) + arr.astype("<f8").tobytes()
-
-
-def _fixed(value: int, width: int) -> bytes:
-    return int(value).to_bytes(width, "little")
 
 
 def _commit_blob(comms: CommitmentBatch, width: int) -> bytes:
@@ -379,39 +383,62 @@ def _read_commit_limbs(r: _Reader, width: int) -> CommitmentBatch:
     return CommitmentBatch(limbs.astype(np.uint64))
 
 
-def _witness_blob(wits: list[Witness], width: int) -> bytes:
-    parts = [struct.pack("<I", len(wits))]
-    for w in wits:
-        if w.element is None:
-            parts.append(b"\x00")
-        else:
-            parts.append(b"\x01" + _fixed(w.element, width))
-    return b"".join(parts)
+class _BundleLayout:
+    """The one plaintext form of a sealed share bundle in a dealing round.
 
+    A bundle is a u32 count and the receiver's `n_polys` field elements, then
+    the witness block: a u32 count and, per polynomial, a presence flag byte,
+    set and followed by a `witness_bytes`-wide element exactly when the
+    scheme needs witnesses.  Every bundle of a round has the same length and
+    the same count and flag bytes, so a receiver checks those and slices the
+    rest at fixed offsets."""
 
-@lru_cache(maxsize=8)
-def _empty_witness_blob(n: int) -> bytes:
-    return struct.pack("<I", n) + b"\x00" * n
+    def __init__(self, n_polys: int, needs_witness: bool, sm: SizeModel):
+        self.n_polys = n_polys
+        self.width = sm.witness_bytes if needs_witness else 0
+        self.count = struct.pack("<I", n_polys)
+        self.cols = slice(sm.count_bytes, sm.elems(n_polys))
+        self.flags_at = sm.elems(n_polys) + sm.count_bytes
+        self.flags = (b"\x01" if needs_witness else b"\x00") * n_polys
+        self.size = self.flags_at + n_polys * (1 + self.width)
 
+    def admits(self, plain: bytes) -> bool:
+        """Whether `plain` has this layout's length, counts and flags."""
+        return (
+            len(plain) == self.size
+            and plain.startswith(self.count)
+            and plain.startswith(self.count, self.cols.stop)
+            and plain[self.flags_at :: 1 + self.width] == self.flags
+        )
 
-def _read_witnesses(r: _Reader, width: int) -> list[Witness]:
-    n = r.u32()
-    if n == 0:
-        return []
-    r.need(1)
-    present = r.buf[r.off]
-    if not present:
-        # witness-free scheme: n flag bytes, all zero
-        flags = np.frombuffer(r.raw(n), dtype=np.uint8)
-        if flags.any():
-            raise ProtocolError("mixed witness presence")
-        return [Witness(None)] * n
-    stride = 1 + width
-    flat = np.frombuffer(r.raw(n * stride), dtype=np.uint8).reshape(n, stride)
-    if not (flat[:, 0] == 1).all():
-        raise ProtocolError("mixed witness presence")
-    limbs = flat[:, 1:].copy().view("<u8")
-    return [Witness(v) for v in limbs_to_ints(limbs).tolist()]
+    def encode(self, shares: np.ndarray) -> np.ndarray:
+        """(parties, size) uint8 array whose row j is the bundle of party
+        j + 1's column of the (n_polys, parties) `shares`, witness elements
+        left zero."""
+        out = np.zeros((shares.shape[1], self.size), dtype=np.uint8)
+        count = np.frombuffer(self.count, dtype=np.uint8)
+        out[:, : self.cols.start] = count
+        out[:, self.cols] = np.ascontiguousarray(shares.T, dtype="<u8").view(np.uint8)
+        out[:, self.cols.stop : self.flags_at] = count
+        out[:, self.flags_at :: 1 + self.width] = self.flags[0]
+        return out
+
+    def put_witnesses(self, row: np.ndarray, wits: list[Witness]) -> None:
+        """Write `wits`' elements into one row of `encode`'s output."""
+        limbs = ints_to_limbs(np.array([w.element for w in wits], dtype=object), self.width // 8)
+        slots = row[self.flags_at :].reshape(self.n_polys, 1 + self.width)
+        slots[:, 1:] = limbs.astype("<u8").view(np.uint8)
+
+    def read(self, plains: list[bytes]) -> tuple[np.ndarray, list[list[Witness]]]:
+        """(len(plains), n_polys) share matrix and each bundle's witnesses,
+        from plaintexts this layout admits."""
+        flat = np.frombuffer(b"".join(plains), dtype=np.uint8).reshape(len(plains), self.size)
+        mat = np.ascontiguousarray(flat[:, self.cols]).view("<u8").astype(np.uint64, copy=False)
+        if not self.width:
+            return mat, [[Witness()] * self.n_polys] * len(plains)
+        slots = flat[:, self.flags_at :].reshape(len(plains), self.n_polys, 1 + self.width)
+        limbs = np.ascontiguousarray(slots[:, :, 1:]).view("<u8")
+        return mat, [[Witness(v) for v in row] for row in limbs_to_ints(limbs).tolist()]
 
 
 # every message body starts with its type and iteration and ends with the
@@ -420,8 +447,10 @@ def _read_witnesses(r: _Reader, width: int) -> list[Witness]:
 _HEADER = struct.Struct("<BI")
 
 
-def _sig_context(sender: int, recipient: int, rnd: int, iteration: int, body: bytes) -> bytes:
-    return struct.pack("<IIBI", sender, recipient, rnd, iteration) + body
+def _sig_context(sender: int, recipient: int, rnd: int, iteration: int, *parts) -> bytes:
+    """The bytes a signature covers: sender, recipient, round and iteration,
+    then `parts` (the signed body and any bytes bound to it) joined."""
+    return b"".join((struct.pack("<IIBI", sender, recipient, rnd, iteration), *parts))
 
 
 def _retired(*_args):
@@ -437,11 +466,11 @@ _limbs_to_commits = _retired
 @dataclass(frozen=True)
 class _Broadcast:
     """A commitment broadcast that passed `_Party._checked`: the signed body
-    without its signature, its SHA-256 digest (which binds each dealt share
-    to these exact bytes), and its commitments, None if the block does not
-    parse."""
+    without its signature (a view of the relayed envelope's bytes), its
+    SHA-256 digest (which binds each dealt share to these exact bytes), and
+    its commitments, None if the block does not parse."""
 
-    body: bytes
+    body: memoryview
     digest: bytes
     commits: CommitmentBatch | None
 
@@ -532,48 +561,50 @@ class _Party:
         """Message body for `recipient` in round `rnd`: the header (type
         `mtype`, this iteration) and `payload`, then this party's signature
         over them and `bind`, bytes the receiver must already hold."""
-        body = _HEADER.pack(mtype, self.iteration) + payload
-        ctx = _sig_context(self.id, recipient, rnd, self.iteration, body + bind)
-        return body + self.crypto.sign(ctx)
+        header = _HEADER.pack(mtype, self.iteration)
+        sig = self.crypto.sign(_sig_context(self.id, recipient, rnd, self.iteration, header, payload, bind))
+        return b"".join((header, payload, sig))
 
     def _checked(self, env: Envelope, mtype: int, signed_for: int, bind: bytes = b"") -> _Reader | None:
-        """A reader over `env`'s payload, positioned after the header, if the
-        body is long enough, has type `mtype` and this iteration, and carries a
-        valid signature by `env.sender` for `signed_for` (this party's id,
-        BROADCAST or SERVER_ID) over it and `bind`; else None."""
+        """A reader over a view of `env`'s payload, positioned after the
+        header, if the body is long enough, has type `mtype` and this
+        iteration, and carries a valid signature by `env.sender` for
+        `signed_for` (this party's id, BROADCAST or SERVER_ID) over it and
+        `bind`; else None."""
         raw = env.body
-        if len(raw) < _HEADER.size + SIGNATURE_BYTES:
+        end = len(raw) - SIGNATURE_BYTES
+        if end < _HEADER.size or _HEADER.unpack_from(raw) != (mtype, self.iteration):
             return None
-        if _HEADER.unpack_from(raw) != (mtype, self.iteration):
-            return None
-        body, sig = raw[: len(raw) - SIGNATURE_BYTES], raw[len(raw) - SIGNATURE_BYTES :]
-        ctx = _sig_context(env.sender, signed_for, env.round, self.iteration, body + bind)
-        if not self.directory.verify(env.sender, ctx, sig):
+        body = memoryview(raw)[:end]
+        ctx = _sig_context(env.sender, signed_for, env.round, self.iteration, body, bind)
+        if not self.directory.verify(env.sender, ctx, raw[end:]):
             return None
         return _Reader(body, _HEADER.size)
 
     def _garbage_elems(self, shape) -> np.ndarray:
         return fastops.rand_elems(self._rng(99), shape, self.cfg.prime)
 
+    def _layout(self, n_polys: int) -> _BundleLayout:
+        return _BundleLayout(n_polys, self.scheme.needs_witness, self.cfg.size_model)
+
     def _seal_columns(self, rnd: int, sharing: SharingConfig, batch, shares, aad, bad_witnesses=False):
-        """Yield (peer, sealed box) for every other roster party: the peer's
-        column of `shares` and its witnesses for `batch`, random ones if
-        `bad_witnesses`."""
-        n_polys = shares.shape[0]
+        """Yield (peer, sealed box) for every other roster party: the bundle
+        of the peer's column of `shares` and its witnesses for `batch`, random
+        ones if `bad_witnesses`."""
+        layout = self._layout(shares.shape[0])
+        plains = layout.encode(shares)
         for peer in self.roster0:
             if peer == self.id:
                 continue
-            if not self.scheme.needs_witness:
-                wblob = _empty_witness_blob(n_polys)
-            else:
+            plain = plains[peer - 1]
+            if layout.width:
                 if bad_witnesses:
-                    wits = [Witness(int(x)) for x in self._garbage_elems(n_polys)]
+                    wits = [Witness(int(x)) for x in self._garbage_elems(layout.n_polys)]
                 else:
                     wits = self.scheme.open_batch(batch.coeffs, sharing.eval_point(peer))
-                wblob = _witness_blob(wits, self.cfg.size_model.witness_bytes)
-            plain = serialize_elems(shares[:, peer - 1]) + wblob
+                layout.put_witnesses(plain, wits)
             box = self.crypto.box_with(peer, self.directory)
-            yield peer, box.seal(rnd, self.iteration, plain, aad=aad)
+            yield peer, box.seal(rnd, self.iteration, plain.tobytes(), aad=aad)
 
 
 class ClientSession(_Party):
@@ -583,19 +614,16 @@ class ClientSession(_Party):
 
     # -- round 0: model intake ---------------------------------------------
 
-    def _open(self, sender: int, rnd: int, sealed: bytes, aad: bytes):
-        """(share column, witnesses) from a sealed box; ProtocolAbort if the
-        box fails to open, ProtocolError if its contents do not parse."""
-        box = self.crypto.box_with(sender, self.directory)
+    def _unseal(self, sender: int, rnd: int, r: _Reader, aad: bytes, layout: _BundleLayout) -> bytes | None:
+        """The plaintext of the length-prefixed sealed box that ends `r`'s
+        message, if the box opens under `aad` and the plaintext has
+        `layout`'s form; else None."""
         try:
-            plain = box.open_in(rnd, self.iteration, sealed, aad=aad)
-        except DecryptionError as exc:
-            raise ProtocolAbort(f"shares from {sender} failed to open: {exc}") from exc
-        r = _Reader(plain)
-        col = r.elems()
-        wits = _read_witnesses(r, self.cfg.size_model.witness_bytes)
-        r.done()
-        return col, wits
+            sealed = r.last_blob()
+            plain = self.crypto.box_with(sender, self.directory).open_in(rnd, self.iteration, sealed, aad=aad)
+        except (ProtocolError, DecryptionError):
+            return None
+        return plain if layout.admits(plain) else None
 
     def begin_iteration(self, iteration: int) -> None:
         self.iteration = iteration
@@ -614,19 +642,21 @@ class ClientSession(_Party):
         self.norm_bound = r.u64()
         roster0 = r.ids()
         commits = _read_commit_limbs(r, self.cfg.size_model.commitment_bytes)
-        sealed = r.blob()
-        r.done()
         if (
             self.id not in roster0
             or roster0 != sorted(set(roster0))
             or not 1 <= roster0[0] <= roster0[-1] <= self.cfg.n_clients
         ):
             raise ProtocolAbort("roster is not an increasing list of known clients with this one")
-        col, wits = self._open(SERVER_ID, env.round, sealed, b"model")
-        if col.size != self.cfg.n_poly or (col >= self.cfg.prime).any():
-            raise ProtocolAbort("wrong reference share count or non-canonical share")
+        layout = self._layout(self.cfg.n_poly)
+        plain = self._unseal(SERVER_ID, env.round, r, b"model", layout)
+        if plain is None:
+            raise ProtocolAbort("reference shares failed to open or do not fit the bundle layout")
+        (col,), wits = layout.read([plain])
+        if (col >= self.cfg.prime).any():
+            raise ProtocolAbort("non-canonical reference share")
         point = self.cfg.grad_cfg.eval_point(self.id)
-        if not self.scheme.verify_batch([commits], point, [col], [wits])[0]:
+        if not self.scheme.verify_batch([commits], point, [col], wits)[0]:
             raise ProtocolAbort("reference-gradient shares failed verification")
         self.root_column = col
         self.roster0 = roster0
@@ -661,65 +691,62 @@ class ClientSession(_Party):
         """(checked broadcasts, direct share envelopes), each by sender; a
         direct envelope is checked once its broadcast's digest is known."""
         bcast_type, direct_type = DEAL_TYPES[rnd]
+        bcast_kind, direct_kind = bytes((bcast_type,)), bytes((direct_type,))
         bcast: dict[int, _Broadcast] = {}
         direct: dict[int, Envelope] = {}
         for env in envs:
             kind = env.body[:1]
-            if kind == bytes((bcast_type,)):
+            if kind == bcast_kind:
                 entry = _MEMO.verify_broadcast(self, env, bcast_type)
                 if entry is not None:
                     bcast[env.sender] = entry
-            elif kind == bytes((direct_type,)):
+            elif kind == direct_kind:
                 direct[env.sender] = env
         return bcast, direct
-
-    def _open_bundle(self, env: Envelope | None, rnd: int, bcast: _Broadcast):
-        """(share column, witnesses) from the direct share message that pairs
-        with `bcast`, whose signature must cover the broadcast's digest;
-        ProtocolError if either part is missing or malformed."""
-        if env is None or bcast.commits is None:
-            raise ProtocolError("incomplete bundle")
-        r = self._checked(env, DEAL_TYPES[rnd][1], self.id, bind=bcast.digest)
-        if r is None:
-            raise ProtocolError("share message failed its checks")
-        sealed = r.blob()
-        r.done()
-        return self._open(env.sender, rnd, sealed, bcast.digest)
 
     def _verify_bundles(self, envs, rnd, n_polys, point, own, own_body):
         """Common round-2/3 intake.  The broadcast set defines a public layout
         every client must agree on, so this client's own broadcast must come
         back through the server unmodified; its self-dealt column `own` is then
-        trusted without a message.  Returns (broadcast senders, verified
-        columns by sender, bad sender list)."""
+        trusted without a message.  Every other broadcast sender's direct
+        message must be signed over its broadcast's digest and carry one sealed
+        bundle in this round's layout, with canonical shares that verify
+        against the broadcast commitments.  Returns (broadcast senders,
+        verified columns by sender, bad sender list)."""
         bcast, direct = self._split_envs(envs, rnd)
         mine = bcast.get(self.id)
         if mine is None or mine.body != own_body:
             raise ProtocolAbort("own broadcast missing from the forwarded set")
         seen = sorted(bcast)
+        layout = self._layout(n_polys)
         bad: list[int] = []
-        senders, batches, columns, witnesses = [], [], [], []
+        senders, plains = [], []
         for sender in seen:
             if sender == self.id:
                 continue
-            try:
-                col, wits = self._open_bundle(direct.get(sender), rnd, bcast[sender])
-                if col.size != n_polys or (col >= self.cfg.prime).any():
-                    raise ProtocolError("wrong share count or non-canonical share")
-            except ProtocolError:
+            entry, env = bcast[sender], direct.get(sender)
+            r = None
+            if env is not None and entry.commits is not None:
+                r = self._checked(env, DEAL_TYPES[rnd][1], self.id, bind=entry.digest)
+            plain = None if r is None else self._unseal(sender, rnd, r, entry.digest, layout)
+            if plain is None:
                 bad.append(sender)
-                continue
-            senders.append(sender)
-            batches.append(bcast[sender].commits)
-            columns.append(col)
-            witnesses.append(wits)
-        oks = self.scheme.verify_batch(batches, point, columns, witnesses)
-        cols = {self.id: own}
-        for sender, col, ok in zip(senders, columns, oks):
-            if ok:
-                cols[sender] = col
             else:
-                bad.append(sender)
+                senders.append(sender)
+                plains.append(plain)
+        mat, witnesses = layout.read(plains)
+        canonical = ~(mat >= self.cfg.prime).any(axis=1)
+        bad.extend(s for s, ok in zip(senders, canonical) if not ok)
+        idx = np.flatnonzero(canonical)
+        oks = self.scheme.verify_batch(
+            [bcast[senders[i]].commits for i in idx], point, mat[idx], [witnesses[i] for i in idx]
+        )
+        cols = {self.id: own}
+        for i, ok in zip(idx, oks):
+            if ok:
+                cols[senders[i]] = mat[i]
+            else:
+                bad.append(senders[i])
         return seen, cols, sorted(bad)
 
     # -- round 1: deal gradient shares -------------------------------------

@@ -111,6 +111,28 @@ def test_mailbox_tamper_rule_applies():
     assert rule.hits == 1
 
 
+def test_mailbox_stores_and_forwards_without_copying_the_body():
+    mb = ServerMailbox()
+    env = Envelope(3, 0, 1, b"abc")
+    assert mb.submit(env)
+    (got,) = mb.deliver(0, 1)
+    assert got is env
+    mb.forward(env, 5)
+    (fwd,) = mb.deliver(5, 1)
+    assert fwd == Envelope(3, 5, 1, b"abc") and fwd.body is env.body
+    assert mb.bytes_down(5) == 13 + 3
+
+
+def test_mailbox_meters_then_drops_a_rewritten_envelope_that_no_longer_parses():
+    rule = TamperRule(round=1, sender=3, recipient=4, mutate=lambda wire: wire[:-1])
+    mb = ServerMailbox(tamper_rules=[rule])
+    assert not mb.submit(Envelope(3, 4, 1, b"abc"))
+    assert rule.hits == 1
+    assert mb.bytes_up(3) == 13 + 3 - 1
+    assert mb.message_count == 1
+    assert mb.deliver(4, 1) == []
+
+
 def test_size_model_arithmetic():
     m = SizeModel()
     assert m.elems(10) == 4 + 80

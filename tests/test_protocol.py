@@ -8,6 +8,7 @@ computations the run contains, as long as the surviving honest set stays above
 the configured thresholds.
 """
 
+import hashlib
 import struct
 from collections import Counter
 
@@ -19,7 +20,10 @@ from packsecagg.channel import (
     MAX_ITERATIONS,
     SERVER_ID,
     SIGNATURE_BYTES,
+    Directory,
     Envelope,
+    PairwiseBox,
+    PartyCrypto,
     ServerMailbox,
     TamperRule,
 )
@@ -35,6 +39,7 @@ from packsecagg.protocol import (
     R_MODEL,
     R_RESHARE,
     R_SHARE,
+    T_COMMIT,
     _HEADER,
     _commit_blob,
     _read_commit_limbs,
@@ -149,6 +154,60 @@ def test_clean_iteration_matches_plaintext(mode, scheme):
     assert res.excluded == [] and res.offenders == [] and res.flagged == []
     assert_matches_oracle(res, grads, root, cfg.scale)
     assert all(0.0 <= t for t in res.trust.values())
+
+
+def test_crypto_calls_per_iteration_are_per_client(monkeypatch):
+    # every signature, check, seal and open is still made by each party for
+    # each message it handles: no work is shared across clients beyond the
+    # broadcast checks `_MEMO` already shares
+    calls = Counter()
+
+    def count(cls, name):
+        fn = getattr(cls, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    for cls, name in ((Directory, "verify"), (PartyCrypto, "sign"),
+                      (PairwiseBox, "seal"), (PairwiseBox, "open_in")):
+        count(cls, name)
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    res, grads, root, _ = run_once(cfg)
+    assert_matches_oracle(res, grads, root, cfg.scale)
+    n = cfg.n_clients
+    bundles = 2 * n * (n - 1)  # rounds 1 and 2, one per ordered client pair
+    # signed: n model messages, 2n broadcasts, the bundles, n finals, one
+    # trust broadcast and n aggregates
+    assert calls["sign"] == n + 2 * n + bundles + n + 1 + n == 231
+    # checked: n model messages by their clients, 2n broadcasts by the
+    # server and once more by the receivers, the bundles, n finals, the
+    # trust message by each client and n aggregates
+    assert calls["verify"] == n + 4 * n + bundles + n + n + n == 260
+    assert calls["seal"] == calls["open_in"] == n + bundles == 190
+
+
+@pytest.mark.parametrize("mode", ["fast", "real"])
+def test_signed_body_verifies_over_the_documented_context(mode):
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3,
+                         crypto_mode=mode, seed=3)
+    _, clients = build_sessions(cfg)
+    sender, receiver = clients[3], clients[4]
+    sender.iteration = receiver.iteration = 5
+    bind = hashlib.sha256(b"broadcast").digest()
+    signed = sender._signed(BROADCAST, R_SHARE, T_COMMIT, b"payload", bind=bind)
+    body, sig = signed[:-SIGNATURE_BYTES], signed[-SIGNATURE_BYTES:]
+    assert body == _HEADER.pack(T_COMMIT, 5) + b"payload"
+    ctx = _sig_context(3, BROADCAST, R_SHARE, 5, body + bind)
+    assert sender.directory.verify(3, ctx, sig)
+    env = Envelope(3, 4, R_SHARE, signed)
+    r = receiver._checked(env, T_COMMIT, BROADCAST, bind=bind)
+    assert r is not None and bytes(r.raw(7)) == b"payload"
+    r.done()
+    assert receiver._checked(env, T_COMMIT, BROADCAST, bind=bind[::-1]) is None
+    assert receiver._checked(env, T_COMMIT, 4, bind=bind) is None
 
 
 def test_repeat_run_is_deterministic():
@@ -345,12 +404,12 @@ def test_truncated_signed_reshare_broadcast_makes_a_non_respondent():
     assert_matches_oracle(res, grads, root, cfg.scale)
 
 
-def add_one_off_residue(k):
-    """Body edit that adds 1 to every final-vector entry j with j mod 4 != k."""
+def add_one_off_residue(k, m=4):
+    """Body edit that adds 1 to every final-vector entry j with j mod m != k."""
 
     def edit(body):
         vals, _ = deserialize_elems(body, _HEADER.size)
-        hit = np.arange(vals.size) % 4 != k
+        hit = np.arange(vals.size) % m != k
         vals[hit] = (vals[hit] + 1) % np.uint64(MERSENNE61)
         return body[: _HEADER.size] + serialize_elems(vals)
 
@@ -374,6 +433,27 @@ def test_spread_final_vector_errors_are_corrected_in_few_decodes(nullspace_calls
     assert res.offenders == [2, 5, 7, 9]
     assert_matches_oracle(res, grads, root, cfg.scale, roster=res.roster)
     assert len(nullspace_calls) <= 5  # the erased-set loop makes 2
+
+
+def test_twelve_of_forty_spread_final_vectors_are_corrected_in_few_decodes(nullspace_calls):
+    # 12 of 40 clients re-sign their round-3 final vectors so that every
+    # entry spares one of them: each of the 20 codewords has 11 errors, the
+    # whole budget at degree 16, while the wrong columns number 12
+    cfg = ProtocolConfig(n_clients=40, dim=80, pack=4, reshare_pack=4, degree=16, seed=3)
+    server, clients = build_sessions(cfg)
+    attackers = list(range(3, 37, 3))
+    rules = []
+    for k, u in enumerate(attackers):
+        edit = add_one_off_residue(k, len(attackers))
+        mutate = edit_and_resign(clients[u].crypto, u, SERVER_ID, R_FINAL, edit)
+        rules.append(TamperRule(round=R_FINAL, sender=u, recipient=SERVER_ID, mutate=mutate))
+    mailbox = ServerMailbox(tamper_rules=rules)
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, mailbox, 0, weights, grads, root)
+    assert all(rule.hits == 1 for rule in rules)
+    assert res.offenders == attackers
+    assert_matches_oracle(res, grads, root, cfg.scale, roster=res.roster)
+    assert len(nullspace_calls) <= len(attackers) + 1
 
 
 @pytest.mark.parametrize(
@@ -489,6 +569,21 @@ def test_truncated_signed_share_upload_makes_a_non_respondent(rnd):
     assert_matches_oracle(res, grads, root, cfg.scale)
 
 
+@pytest.mark.parametrize("rnd", [R_SHARE, R_FINAL], ids=["broadcast", "final"])
+def test_relay_cut_that_breaks_the_envelope_framing_makes_a_non_respondent(rnd):
+    # the relay cuts the last byte off client 4's wire envelope, so its
+    # length field no longer matches; before, the mailbox raised ChannelError
+    # out of run_iteration
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    rule = TamperRule(round=rnd, sender=4, recipient=SERVER_ID, mutate=lambda wire: wire[:-1])
+    res, grads, root, mailbox = run_once(cfg, tamper=[rule])
+    _, _, _, honest = run_once(cfg)
+    assert rule.hits == 1
+    assert mailbox.up_bytes[(4, rnd)] == honest.up_bytes[(4, rnd)] - 1
+    assert 4 not in res.respondents[rnd]
+    assert_matches_oracle(res, grads, root, cfg.scale, roster=res.roster)
+
+
 def test_share_bundle_cut_after_its_witness_count_gets_its_dealer_voted_out():
     # client 4 seals each peer its share column and the witness count, but
     # no witness flag bytes; before, reading the first flag past the end of
@@ -510,6 +605,88 @@ def test_share_bundle_cut_after_its_witness_count_gets_its_dealer_voted_out():
     assert all(clients[u].reported == [4] for u in clients if u != 4)
     assert res.excluded == [4]
     assert_matches_oracle(res, grads, root, cfg.scale, roster=res.roster)
+
+
+def reseal_share_bundle(clients, dealer, receiver, edit, trailer=b""):
+    """Mutation of `dealer`'s round-1 share message to `receiver`: open its
+    sealed bundle, apply `edit` to the plaintext, seal it again, put `trailer`
+    after the box, and sign the message again over the dealer's broadcast
+    digest, so that only the bundle layout stands between it and the
+    receiver."""
+    src, dst = clients[dealer], clients[receiver]
+
+    def mutate(wire):
+        env = Envelope.from_wire(wire)
+        digest = hashlib.sha256(src.own_commit_body).digest()
+        sealed = env.body[_HEADER.size + 4 : len(env.body) - SIGNATURE_BYTES]
+        plain = dst.crypto.box_with(dealer, dst.directory).open_in(R_SHARE, 0, sealed, aad=digest)
+        sealed = src.crypto.box_with(receiver, src.directory).seal(R_SHARE, 0, edit(plain), aad=digest)
+        body = env.body[: _HEADER.size] + struct.pack("<I", len(sealed)) + sealed + trailer
+        sig = src.crypto.sign(_sig_context(dealer, receiver, R_SHARE, 0, body + digest))
+        return Envelope(env.sender, env.recipient, env.round, body + sig).to_wire()
+
+    return mutate
+
+
+def _put_u32(plain, at, value):
+    return plain[:at] + struct.pack("<I", value) + plain[at + 4 :]
+
+
+def _other_witness_block(p, n, witnesses):
+    block = b"\x00" * n if witnesses else (b"\x01" + bytes(32)) * n
+    return p[: 8 + 8 * n] + block
+
+
+# edits to a round-1 bundle plaintext of n polynomials: a u32 count and n
+# field elements, then a u32 witness count and n flag bytes, each followed by
+# a 32-byte witness element if the scheme has `witnesses`
+BUNDLE_EDITS = {
+    "honest": lambda p, n, witnesses: p,
+    "one byte short": lambda p, n, witnesses: p[:-1],
+    "one byte long": lambda p, n, witnesses: p + b"\x00",
+    "one element more": lambda p, n, witnesses: _put_u32(
+        p[: 4 + 8 * n] + bytes(8) + p[4 + 8 * n :], 0, n + 1
+    ),
+    "one element fewer": lambda p, n, witnesses: _put_u32(
+        p[: 4 + 8 * (n - 1)] + p[4 + 8 * n :], 0, n - 1
+    ),
+    "element count off": lambda p, n, witnesses: _put_u32(p, 0, n + 1),
+    "witness count off": lambda p, n, witnesses: _put_u32(p, 4 + 8 * n, n + 1),
+    "non-canonical element": lambda p, n, witnesses: p[:4]
+    + struct.pack("<Q", struct.unpack_from("<Q", p, 4)[0] + MERSENNE61)
+    + p[12:],
+    "first flag flipped": lambda p, n, witnesses: p[: 8 + 8 * n]
+    + bytes([p[8 + 8 * n] ^ 1])
+    + p[9 + 8 * n :],
+    "other scheme's witness block": _other_witness_block,
+}
+TRAILING_BYTE = "trailing byte after the box"
+
+
+@pytest.mark.parametrize("scheme", ["coefficient", "constant"])
+@pytest.mark.parametrize("case", [*BUNDLE_EDITS, TRAILING_BYTE])
+def test_share_bundle_off_the_layout_is_reported(case, scheme):
+    # client 4 re-seals and re-signs its round-1 bundle to client 7 in each
+    # malformed form; only the honest bundle may pass.  A flipped flag is set
+    # under the witness-free coefficient scheme and clear under the constant
+    # scheme.  A full block of witness elements under the coefficient scheme
+    # used to be accepted and ignored.
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3,
+                         commitment=scheme, seed=3)
+    server, clients = build_sessions(cfg)
+    edit = BUNDLE_EDITS.get(case, BUNDLE_EDITS["honest"])
+    trailer = b"\x00" if case == TRAILING_BYTE else b""
+    witnesses = scheme == "constant"
+    mutate = reseal_share_bundle(clients, 4, 7, lambda p: edit(p, cfg.n_poly, witnesses), trailer)
+    rule = TamperRule(round=R_SHARE, sender=4, recipient=7, mutate=mutate)
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, ServerMailbox(tamper_rules=[rule]), 0, weights, grads, root)
+    assert rule.hits == 1
+    assert clients[7].reported == ([] if case == "honest" else [4])
+    assert all(clients[u].reported == [] for u in clients if u != 7)
+    assert res.excluded == []
+    if case == "honest":
+        assert_matches_oracle(res, grads, root, cfg.scale)
 
 
 def _resign_to_every_client(server, cfg, rnd, signed_for, edit):
