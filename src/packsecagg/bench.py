@@ -4,18 +4,20 @@ Two instruments, kept deliberately independent of each other:
 
 * A closed-form byte predictor (`predict_comm`): per-role, per-round wire
   bytes for one honest iteration, written out as arithmetic over the message
-  layouts and the fixed size model.  It never touches the serializers.
+  layouts and the fixed wire widths (`protocol.COMMITMENT_BYTES` and
+  `WITNESS_BYTES`, the channel's header, signature and AES-GCM sizes).  It
+  never touches the serializers.
 * A measured run (`measure_comm`): the real protocol driven through a
   metering mailbox, byte counts read off the mailbox's counters.
 
 Tests assert the two agree to the byte at desk scale, which is what licenses
 using the predictor alone for sweep points too large to materialize (the
 predictor is a bit-exact function of population size, vector length, packing
-widths, degree, and the commitment-size model).
+widths, degree, and the commitment scheme).
 
 The sweep helpers compare the packed protocol against its unpacked
 single-secret-per-polynomial variant (the "unpacked baseline"): same wire
-format, same commitment model, packing widths forced to 1.  Sweeps emit CSV
+format, same commitment scheme, packing widths forced to 1.  Sweeps emit CSV
 rows carrying a config hash and seed; infeasible points become "skipped"
 rows with the reason, never silent holes.
 
@@ -35,8 +37,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import DEFAULT_SIZE_MODEL, SERVER_ID, ServerMailbox, SizeModel
+from .channel import GCM_NONCE_BYTES, GCM_TAG_BYTES, HEADER_STRUCT, SERVER_ID, SIGNATURE_BYTES, ServerMailbox
 from .protocol import (
+    COMMITMENT_BYTES,
     PHASES,
     R_AGG,
     R_FINAL,
@@ -45,6 +48,7 @@ from .protocol import (
     R_SHARE,
     ProtocolConfig,
     ProtocolError,
+    WITNESS_BYTES,
     build_sessions,
     run_iteration,
 )
@@ -93,12 +97,13 @@ def predict_comm(
     reshare_pack: int,
     degree: int,
     commitment: str = "constant",
-    size_model: SizeModel = DEFAULT_SIZE_MODEL,
 ) -> CommPlan:
-    """Byte counts for one honest iteration, from the message layouts alone.
+    """Byte counts for one honest iteration, from the message layouts and the
+    fixed wire widths alone.
 
     Layout recap (header = sender, recipient, round, length; every message
-    ends with one signature):
+    ends with one signature; counts are u32 and field elements, floats and
+    the norm bound 8 bytes each):
 
     * round 0, server to each client: type+iteration, model floats, reference
       norm, norm bound, roster ids, commitment block for the reference
@@ -113,46 +118,47 @@ def predict_comm(
       denominator to every client.
     * round 4, each client: trust-weighted aggregate shares in the clear.
     """
-    sm = size_model
     n = n_clients
     groups1 = -(-dim // pack)  # gradient polynomials per client
     groups2 = 2 * (-(-n // reshare_pack))  # dot + norm re-share polynomials
     if commitment == "coefficient":
         commit_elems, witness_entry = degree + 1, 1  # witness-free: flag byte
     elif commitment == "constant":
-        commit_elems, witness_entry = 1, 1 + sm.witness_bytes
+        commit_elems, witness_entry = 1, 1 + WITNESS_BYTES
     else:
         raise ProtocolError(f"unknown commitment scheme {commitment!r}")
 
-    def commit_blob(n_polys: int) -> int:
-        return sm.count_bytes + n_polys * (2 + commit_elems * sm.commitment_bytes)
+    def counted(n_items: int, item_bytes: int) -> int:
+        return 4 + n_items * item_bytes  # u32 count, then the items
 
-    def witness_blob(n_polys: int) -> int:
-        return sm.count_bytes + n_polys * witness_entry
+    def commit_blob(n_polys: int) -> int:
+        return counted(n_polys, 2 + commit_elems * COMMITMENT_BYTES)
 
     def wire(body: int) -> int:
-        return sm.header_bytes + body + sm.signature_bytes
+        return HEADER_STRUCT.size + body + SIGNATURE_BYTES
+
+    def sealed_column(n_polys: int) -> int:
+        # u32 box length, nonce, share column, witness block, tag
+        return 4 + GCM_NONCE_BYTES + counted(n_polys, 8) + counted(n_polys, witness_entry) + GCM_TAG_BYTES
 
     type_iter = 5  # one type byte + four iteration bytes
-    column = lambda n_polys: sm.sealed(sm.elems(n_polys) + witness_blob(n_polys))
 
     model = wire(
         type_iter
-        + (sm.count_bytes + dim * sm.float_bytes)  # weights
+        + counted(dim, 8)  # weights
         + 8  # reference norm (float)
         + 8  # norm bound (uint)
-        + sm.ids(n)  # roster
+        + counted(n, 4)  # roster
         + commit_blob(groups1)
-        + sm.count_bytes
-        + column(groups1)
+        + sealed_column(groups1)
     )
     commit1 = wire(type_iter + commit_blob(groups1))
-    direct1 = wire(type_iter + sm.count_bytes + column(groups1))
-    commit2 = wire(type_iter + commit_blob(groups2) + sm.ids(0))
-    direct2 = wire(type_iter + sm.count_bytes + column(groups2))
-    final = wire(type_iter + sm.elems(groups2))
-    trust = wire(type_iter + sm.ids(n) + sm.elems(n) + 8)
-    agg = wire(type_iter + sm.elems(groups1))
+    direct1 = wire(type_iter + sealed_column(groups1))
+    commit2 = wire(type_iter + commit_blob(groups2) + counted(0, 4))
+    direct2 = wire(type_iter + sealed_column(groups2))
+    final = wire(type_iter + counted(groups2, 8))
+    trust = wire(type_iter + counted(n, 4) + counted(n, 8) + 8)
+    agg = wire(type_iter + counted(groups1, 8))
 
     return CommPlan(
         client_up={
@@ -185,7 +191,6 @@ def predict_for(cfg: ProtocolConfig) -> CommPlan:
         cfg.reshare_pack,
         cfg.degree,
         cfg.commitment,
-        cfg.size_model,
     )
 
 
@@ -342,17 +347,17 @@ def sweep_comm(
 
 def sweep_comp(
     points: list[SweepPoint],
-    commitment: str = "coefficient",
     seed: int = 0,
     iterations: int = 1,
 ) -> list[CostRecord]:
     """Measured per-phase wall clock at each (feasible, desk-scale) point,
-    as clocked by `run_iteration` during `measure_comm`."""
+    as clocked by `run_iteration` during `measure_comm`, under the
+    coefficient-vector commitment scheme."""
     records: list[CostRecord] = []
     for point in points:
         pack, degree = point.resolve()
         try:
-            cfg = _point_config(point, commitment, seed)
+            cfg = _point_config(point, "coefficient", seed)
         except ProtocolError:
             continue
         totals: dict[str, float] = {}

@@ -59,40 +59,6 @@ class DecryptionError(ChannelError):
     """Ciphertext failed authentication or decryption."""
 
 
-# ---------------------------------------------------------------------------
-# Byte-size model
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SizeModel:
-    """Fixed wire widths; serialization pads to these so fast and real modes
-    transfer identical byte counts."""
-
-    field_bytes: int = 8
-    commitment_bytes: int = 32
-    witness_bytes: int = 32
-    signature_bytes: int = SIGNATURE_BYTES
-    header_bytes: int = HEADER_STRUCT.size
-    count_bytes: int = 4
-    id_bytes: int = 4
-    float_bytes: int = 8
-    aead_overhead: int = GCM_NONCE_BYTES + GCM_TAG_BYTES
-
-    def elems(self, n: int) -> int:
-        """Length-prefixed vector of field elements."""
-        return self.count_bytes + n * self.field_bytes
-
-    def ids(self, n: int) -> int:
-        return self.count_bytes + n * self.id_bytes
-
-    def sealed(self, plaintext_bytes: int) -> int:
-        return plaintext_bytes + self.aead_overhead
-
-
-DEFAULT_SIZE_MODEL = SizeModel()
-
-
 def pad_to(data: bytes, width: int) -> bytes:
     if len(data) > width:
         raise ChannelError(f"value needs {len(data)} bytes, width is {width}")

@@ -50,8 +50,6 @@ from .channel import (
     Envelope,
     PartyCrypto,
     ServerMailbox,
-    SizeModel,
-    DEFAULT_SIZE_MODEL,
     MAX_ITERATIONS,
 )
 from .field import (
@@ -128,7 +126,6 @@ class ProtocolConfig:
     max_norm: float = 2.0  # cap on the reference gradient norm
     crypto_mode: str = "fast"
     commitment: str = "coefficient"
-    size_model: SizeModel = DEFAULT_SIZE_MODEL
     seed: int = 0
 
     def __post_init__(self):
@@ -331,13 +328,6 @@ class _Reader:
         self.off += 4 * n
         return out
 
-    def floats(self) -> np.ndarray:
-        n = self.u32()
-        self.need(8 * n)
-        out = np.frombuffer(self.buf, dtype="<f8", count=n, offset=self.off).copy()
-        self.off += 8 * n
-        return out
-
     def done(self) -> None:
         if self.off != len(self.buf):
             raise ProtocolError("trailing bytes in message")
@@ -352,9 +342,16 @@ def _floats_blob(arr) -> bytes:
     return struct.pack("<I", arr.size) + arr.astype("<f8").tobytes()
 
 
-def _commit_blob(comms: CommitmentBatch, width: int) -> bytes:
+# padded wire widths of a commitment element and a witness element; every
+# scheme's elements fit, so fast and real modes send the same byte counts
+COMMITMENT_BYTES = 32
+WITNESS_BYTES = 32
+
+
+def _commit_blob(comms: CommitmentBatch) -> bytes:
     """Wire form of a commitment batch: a u32 count, then per polynomial a u16
-    element count and each element in `width` little-endian bytes."""
+    element count and each element in COMMITMENT_BYTES little-endian bytes."""
+    width = COMMITMENT_BYTES
     n, k, n_limbs = comms.limbs.shape
     elem_bytes = comms.limbs.astype("<u8").view(np.uint8).reshape(n, k, 8 * n_limbs)
     if elem_bytes[:, :, width:].any():
@@ -366,10 +363,11 @@ def _commit_blob(comms: CommitmentBatch, width: int) -> bytes:
     return struct.pack("<I", n) + rows.tobytes()
 
 
-def _read_commit_limbs(r: _Reader, width: int) -> CommitmentBatch:
-    """Vectorized commitment-block parse to (n_polys, k, width/8) uint64
-    little-endian limbs.  Requires a uniform element count per polynomial,
-    which every scheme here produces."""
+def _read_commit_limbs(r: _Reader) -> CommitmentBatch:
+    """Vectorized commitment-block parse to (n_polys, k, COMMITMENT_BYTES/8)
+    uint64 little-endian limbs.  Requires a uniform element count per
+    polynomial, which every scheme here produces."""
+    width = COMMITMENT_BYTES
     n = r.u32()
     if n == 0:
         return CommitmentBatch(np.zeros((0, 0, width // 8), dtype=np.uint64))
@@ -388,17 +386,17 @@ class _BundleLayout:
 
     A bundle is a u32 count and the receiver's `n_polys` field elements, then
     the witness block: a u32 count and, per polynomial, a presence flag byte,
-    set and followed by a `witness_bytes`-wide element exactly when the
-    scheme needs witnesses.  Every bundle of a round has the same length and
+    set and followed by a WITNESS_BYTES-wide element exactly when the scheme
+    needs witnesses.  Every bundle of a round has the same length and
     the same count and flag bytes, so a receiver checks those and slices the
     rest at fixed offsets."""
 
-    def __init__(self, n_polys: int, needs_witness: bool, sm: SizeModel):
+    def __init__(self, n_polys: int, needs_witness: bool):
         self.n_polys = n_polys
-        self.width = sm.witness_bytes if needs_witness else 0
+        self.width = WITNESS_BYTES if needs_witness else 0
         self.count = struct.pack("<I", n_polys)
-        self.cols = slice(sm.count_bytes, sm.elems(n_polys))
-        self.flags_at = sm.elems(n_polys) + sm.count_bytes
+        self.cols = slice(len(self.count), len(self.count) + 8 * n_polys)
+        self.flags_at = self.cols.stop + len(self.count)
         self.flags = (b"\x01" if needs_witness else b"\x00") * n_polys
         self.size = self.flags_at + n_polys * (1 + self.width)
 
@@ -493,7 +491,7 @@ class _IterationMemo:
             r = party._checked(env, mtype, BROADCAST)
             if r is not None:
                 try:
-                    commits = _read_commit_limbs(r, party.cfg.size_model.commitment_bytes)
+                    commits = _read_commit_limbs(r)
                 except ProtocolError:
                     commits = None
                 entry = _Broadcast(r.buf, hashlib.sha256(r.buf).digest(), commits)
@@ -585,7 +583,7 @@ class _Party:
         return fastops.rand_elems(self._rng(99), shape, self.cfg.prime)
 
     def _layout(self, n_polys: int) -> _BundleLayout:
-        return _BundleLayout(n_polys, self.scheme.needs_witness, self.cfg.size_model)
+        return _BundleLayout(n_polys, self.scheme.needs_witness)
 
     def _seal_columns(self, rnd: int, sharing: SharingConfig, batch, shares, aad, bad_witnesses=False):
         """Yield (peer, sealed box) for every other roster party: the bundle
@@ -627,7 +625,6 @@ class ClientSession(_Party):
 
     def begin_iteration(self, iteration: int) -> None:
         self.iteration = iteration
-        self.weights: np.ndarray | None = None
         self.columns: dict[int, np.ndarray] = {}
         self.layout: list[int] = []
         self.reported: list[int] = []
@@ -637,11 +634,17 @@ class ClientSession(_Party):
         r = self._checked(env, T_MODEL, self.id) if env.sender == SERVER_ID else None
         if r is None:
             raise ProtocolAbort("model message failed its checks")
-        self.weights = r.floats()
+        r.raw(8 * r.u32())  # model weights, unread: gradients reach `round_share` computed
         self.ref_norm = r.f64()
         self.norm_bound = r.u64()
+        # an honest server caps the reference norm at max_norm and quantizes
+        # toward zero, so its bound never exceeds cfg.norm_bound; any other
+        # pair (NaN included) would have this client share a vector that is
+        # not its gradient
+        if not (0.0 <= self.ref_norm <= self.cfg.max_norm and self.norm_bound <= self.cfg.norm_bound):
+            raise ProtocolAbort("reference norm or norm bound outside the configured caps")
         roster0 = r.ids()
-        commits = _read_commit_limbs(r, self.cfg.size_model.commitment_bytes)
+        commits = _read_commit_limbs(r)
         if (
             self.id not in roster0
             or roster0 != sorted(set(roster0))
@@ -667,12 +670,9 @@ class ClientSession(_Party):
         """Commit to `batch`, sign the commitment broadcast, and seal every
         roster peer its share column and witnesses, bound to the broadcast's
         digest.  Returns (envelopes, broadcast body, own share column)."""
-        cfg = self.cfg
         bcast_type, direct_type = DEAL_TYPES[rnd]
         comms = self.scheme.commit_batch(batch.coeffs)
-        bcast = self._signed(
-            BROADCAST, rnd, bcast_type, _commit_blob(comms, cfg.size_model.commitment_bytes) + trailer
-        )
+        bcast = self._signed(BROADCAST, rnd, bcast_type, _commit_blob(comms) + trailer)
         commit_body = bcast[: len(bcast) - SIGNATURE_BYTES]
         digest = hashlib.sha256(commit_body).digest()
         out = [Envelope(self.id, SERVER_ID, rnd, bcast)]
@@ -866,7 +866,7 @@ class ServerSession(_Party):
             + struct.pack("<d", self.ref_norm)
             + struct.pack("<Q", self.norm_bound)
             + _ids_blob(roster)
-            + _commit_blob(comms, cfg.size_model.commitment_bytes)
+            + _commit_blob(comms)
         )
         self.roster0 = list(roster)
         out = []
@@ -892,7 +892,7 @@ class ServerSession(_Party):
         reports: dict[int, list[int]] = {}
         for sender, (env, r) in got.items():
             try:
-                _read_commit_limbs(r, self.cfg.size_model.commitment_bytes)
+                _read_commit_limbs(r)
                 reported = r.ids() if rnd == R_RESHARE else []
                 r.done()
             except ProtocolError:

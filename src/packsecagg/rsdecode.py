@@ -56,18 +56,13 @@ def max_errors(n_points: int, degree: int) -> int:
     return max(0, (n_points - degree - 1) // 2)
 
 
-def rs_decode(
-    xs: list[int],
-    ys: list[int],
-    degree: int,
-    p: int,
-    error_budget: int | None = None,
-) -> DecodeResult:
+def rs_decode(xs: list[int], ys: list[int], degree: int, p: int) -> DecodeResult:
     """Decode shares (xs, ys) of a degree <= `degree` polynomial.
 
-    error_budget defaults to the information-theoretic maximum
-    (n - degree - 1) // 2.  Raises DecodingError when no polynomial of the
-    stated degree agrees with all but error_budget shares.
+    The error budget is the information-theoretic maximum
+    `max_errors(n, degree)` = (n - degree - 1) // 2.  Raises DecodingError
+    when no polynomial of the stated degree agrees with all but that many
+    shares.
     """
     n = len(xs)
     if n != len(ys):
@@ -76,9 +71,7 @@ def rs_decode(
         raise ValueError("evaluation points must be distinct")
     if n < degree + 1:
         raise DecodingError(f"{n} shares cannot determine degree {degree}")
-    e_max = max_errors(n, degree) if error_budget is None else error_budget
-    if e_max < 0 or degree + 2 * e_max + 1 > n:
-        raise DecodingError(f"error budget {e_max} infeasible for n={n}, degree={degree}")
+    e_max = max_errors(n, degree)
 
     xs = [x % p for x in xs]
     ys = [y % p for y in ys]

@@ -47,6 +47,10 @@ ATTACK_STD = 200.0
 
 PROTOCOLS = ("secure", "unpacked", "fedavg", "trust", "trimmed_mean")
 
+# fraction of the largest and of the smallest entries per coordinate that the
+# trimmed_mean protocol drops
+TRIM_RATIO = 0.2
+
 BEHAVIOR_KINDS = (
     "honest",
     "gradient_manipulation",
@@ -398,9 +402,6 @@ def protocol_config(
     crypto_mode: str = "fast",
     degree: int | None = None,
     pack: int | None = None,
-    response_threshold: int | None = None,
-    report_threshold: int | None = None,
-    max_norm: float = 2.0,
 ) -> ProtocolConfig:
     """Build the share-protocol configuration an experiment will run under."""
     default_pack, default_degree = packing_rule(task.n_clients)
@@ -416,9 +417,6 @@ def protocol_config(
         pack=pack,
         reshare_pack=pack,
         degree=degree,
-        response_threshold=response_threshold,
-        report_threshold=report_threshold,
-        max_norm=max_norm,
         crypto_mode=crypto_mode,
         seed=seed,
     )
@@ -454,12 +452,9 @@ def run_experiment(
     n_iterations: int,
     seed: int = 0,
     learn_rate: float = 0.5,
-    trim_ratio: float = 0.2,
     crypto_mode: str = "fast",
     degree: int | None = None,
     pack: int | None = None,
-    response_threshold: int | None = None,
-    report_threshold: int | None = None,
 ) -> Metrics:
     """Train a linear model for `n_iterations` under one aggregation rule.
 
@@ -480,10 +475,7 @@ def run_experiment(
     share_based = protocol in ("secure", "unpacked")
     server = clients = mailbox = cfg = None
     if share_based:
-        cfg = protocol_config(
-            task, protocol, seed, crypto_mode, degree, pack,
-            response_threshold, report_threshold,
-        )
+        cfg = protocol_config(task, protocol, seed, crypto_mode, degree, pack)
         flags = {
             pid: ClientFlags(
                 invalid_shares=b.kind == "invalid_shares",
@@ -497,8 +489,9 @@ def run_experiment(
             pid: b.dropout_round for pid, b in bmap.items() if b.kind == "dropout"
         }
         mailbox = ServerMailbox(silenced=silenced)
-    cap = cfg.max_norm if cfg is not None else 2.0
-    scale = cfg.scale if cfg is not None else DEFAULT_SCALE
+    # every protocol caps the reference gradient at the share protocol's
+    # max_norm and quantizes at its scale, both left at their defaults
+    cap, scale = ProtocolConfig.max_norm, DEFAULT_SCALE
 
     root = task.root_dataset()
     test = task.test_dataset()
@@ -517,7 +510,7 @@ def run_experiment(
         if protocol == "fedavg":
             update = np.mean(list(grads.values()), axis=0)
         elif protocol == "trimmed_mean":
-            update = trimmed_mean(list(grads.values()), trim_ratio)
+            update = trimmed_mean(list(grads.values()), TRIM_RATIO)
         elif protocol == "trust":
             step = plaintext_trust_step(grads, root_grad, scale)
             update = step.update

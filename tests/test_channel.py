@@ -3,13 +3,11 @@
 import pytest
 
 from packsecagg.channel import (
-    DEFAULT_SIZE_MODEL,
     SIGNATURE_BYTES,
     ChannelError,
     DecryptionError,
     Envelope,
     ServerMailbox,
-    SizeModel,
     TamperRule,
     pad_to,
     setup_keys,
@@ -134,11 +132,6 @@ def test_mailbox_meters_then_drops_a_rewritten_envelope_that_no_longer_parses():
 
 
 def test_size_model_arithmetic():
-    m = SizeModel()
-    assert m.elems(10) == 4 + 80
-    assert m.ids(3) == 4 + 12
-    assert m.sealed(100) == 128
-    assert DEFAULT_SIZE_MODEL.header_bytes == 13
     with pytest.raises(ChannelError):
         pad_to(b"12345", 4)
     assert pad_to(b"ab", 4) == b"ab\x00\x00"

@@ -1,10 +1,12 @@
-"""Every name a package module imports is read somewhere in that module, and
-no package module draws unseeded randomness.
+"""Every name a package module imports is read somewhere in that module, no
+package module draws unseeded randomness, and every defaulted parameter of
+the experiment and cost entry points is set by some call in the package.
 
 No linter runs on this repository, so these scans are the guards against dead
-imports and against an unseeded ``default_rng()``, which would make the metric
-digests vary from run to run.  ``__init__.py`` is skipped by the import scan:
-its imports are re-exports.
+imports, against an unseeded ``default_rng()``, which would make the metric
+digests vary from run to run, and against settings that only one value ever
+reaches, which should be constants.  ``__init__.py`` is skipped by the import
+scan: its imports are re-exports.
 """
 
 import ast
@@ -63,3 +65,60 @@ def test_scan_sees_an_unseeded_rng():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
 def test_module_seeds_every_rng(path):
     assert unseeded_rngs(path.read_text()) == []
+
+
+# entry points whose defaulted parameters must each be set by some package call
+SETTINGS = (
+    "run_experiment",
+    "protocol_config",
+    "predict_comm",
+    "sweep_comm",
+    "sweep_comp",
+    "measure_comm",
+    "rs_decode",
+)
+
+
+def unset_defaults(sources: list[str], names) -> list[str]:
+    """``function.parameter`` for each defaulted parameter of a function in
+    `names` that no call in `sources` passes, by keyword or by position, and
+    ``function: no definition`` for a name that `sources` do not define."""
+    trees = [ast.parse(source) for source in sources]
+    defaulted: dict[str, dict[str, int | None]] = {}
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if isinstance(node, ast.FunctionDef) and node.name in names:
+            a = node.args
+            positional = a.posonlyargs + a.args
+            first = len(positional) - len(a.defaults)
+            params = {p.arg: i for i, p in enumerate(positional) if i >= first}
+            params.update((p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
+            defaulted[node.name] = params
+    passed: set[tuple[str, str]] = set()
+    for node in (n for tree in trees for n in ast.walk(tree)):
+        if not isinstance(node, ast.Call):
+            continue
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        for param, index in defaulted.get(name, {}).items():
+            if (index is not None and index < len(node.args)) or param in {k.arg for k in node.keywords}:
+                passed.add((name, param))
+    return sorted(
+        [f"{name}.{param}" for name, params in defaulted.items() for param in params
+         if (name, param) not in passed]
+        + [f"{name}: no definition" for name in names if name not in defaulted]
+    )
+
+
+def test_scan_sees_a_setting_no_call_passes():
+    source = (
+        "def f(a, b=1, c=2, *, d=3, e=4): pass\n"
+        "def g(x=0): pass\n"
+        "f(0, 5)\n"
+        "m.f(0, e=6)\n"
+        "g()\n"
+    )
+    assert unset_defaults([source], ("f", "g", "h")) == ["f.c", "f.d", "g.x", "h: no definition"]
+    assert unset_defaults([source, "g(1)\nf(0, 1, 2, d=3)\n"], ("f", "g")) == []
+
+
+def test_package_sets_every_defaulted_setting():
+    assert unset_defaults([p.read_text() for p in SOURCES], SETTINGS) == []

@@ -30,6 +30,7 @@ from packsecagg.channel import (
 from packsecagg.field import MERSENNE61
 from packsecagg.protocol import (
     BROADCAST,
+    COMMITMENT_BYTES,
     ClientFlags,
     ProtocolAbort,
     ProtocolConfig,
@@ -804,6 +805,38 @@ def test_client_that_cannot_parse_the_server_message_goes_quiet(message):
     assert_matches_oracle(res, grads, root, cfg.scale, roster=survivors)
 
 
+@pytest.mark.parametrize(
+    "field,value",
+    [("ref_norm", float("nan")), ("ref_norm", float("inf")), ("ref_norm", 1e30),
+     ("ref_norm", -1.0), ("norm_bound", 2**64 - 1)],
+)
+def test_client_refuses_a_reference_norm_or_bound_beyond_the_caps(field, value):
+    # the server re-signs client 4's model message with a reference norm or a
+    # norm bound no honest server sends; before, client 4 quantized with a
+    # RuntimeWarning (an error under this suite's warning filter) or shared
+    # under the inflated bound instead of going quiet
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    server, clients = build_sessions(cfg)
+    # header, then weights (u32 count, f64 each); the norm (f64) and bound (u64) follow
+    at = 5 + 4 + 8 * cfg.dim
+    if field == "ref_norm":
+        packed = struct.pack("<d", value)
+    else:
+        at, packed = at + 8, struct.pack("<Q", value)
+
+    def overwrite(body):
+        return body[:at] + packed + body[at + len(packed) :]
+
+    mutate = edit_and_resign(server.crypto, SERVER_ID, 4, R_MODEL, overwrite)
+    rule = TamperRule(round=R_MODEL, sender=SERVER_ID, recipient=4, mutate=mutate)
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, ServerMailbox(tamper_rules=[rule]), 0, weights, grads, root)
+    assert rule.hits == 1
+    for r in (R_SHARE, R_RESHARE, R_FINAL, R_AGG):
+        assert 4 not in res.respondents[r]
+    assert_matches_oracle(res, grads, root, cfg.scale, roster=[u for u in grads if u != 4])
+
+
 def test_reference_shares_for_another_dimension_make_clients_quiet():
     # a server built for dim 40 deals every client twice the reference shares
     # it expects, under matching commitments; before, round 2 raised a raw
@@ -844,16 +877,26 @@ def test_non_canonical_reference_share_makes_the_client_quiet(mode):
     "kind,fast", [("coefficient", True), ("coefficient", False), ("constant", True)]
 )
 def test_commit_blob_matches_per_element_encoding(kind, fast):
-    width = 32
     scheme = make_scheme(kind, MERSENNE61, max_degree=5, fast=fast)
     coeffs = fastops.rand_elems(np.random.default_rng(4), (7, 6), MERSENNE61)
     comms = scheme.commit_batch(coeffs)
     want = struct.pack("<I", len(comms)) + b"".join(
         struct.pack("<H", len(c.elements))
-        + b"".join(int(e).to_bytes(width, "little") for e in c.elements)
+        + b"".join(int(e).to_bytes(COMMITMENT_BYTES, "little") for e in c.elements)
         for c in comms
     )
-    blob = _commit_blob(comms, width)
+    blob = _commit_blob(comms)
     assert blob == want
-    parsed = _read_commit_limbs(_Reader(blob), width)
+    parsed = _read_commit_limbs(_Reader(blob))
     assert [c.elements for c in parsed] == [c.elements for c in comms]
+
+
+def test_commit_blob_refuses_an_element_wider_than_the_wire_width():
+    # five uint64 limbs hold 40 bytes; a non-zero fifth limb does not fit in 32
+    limbs = np.zeros((2, 3, 5), dtype=np.uint64)
+    limbs[1, 2, 4] = 1
+    assert COMMITMENT_BYTES == 32
+    with pytest.raises(ProtocolError, match="wider than 32 bytes"):
+        _commit_blob(CommitmentBatch(limbs))
+    limbs[1, 2, 4] = 0
+    assert len(_commit_blob(CommitmentBatch(limbs))) == 4 + 2 * (2 + 3 * 32)

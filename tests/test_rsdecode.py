@@ -53,13 +53,15 @@ def test_zero_polynomial_and_constant():
 
 
 def test_error_budget_zero_rejects_corruption():
+    # 4 points at degree 2 leave a budget of max_errors(4, 2) == 0
     p = 127
     coeffs = [1, 2, 3]
-    xs = list(range(1, 6))
+    xs = list(range(1, 5))
     ys = _codeword(coeffs, xs, p)
     ys[2] = (ys[2] + 1) % p
+    assert max_errors(len(xs), 2) == 0
     with pytest.raises(DecodingError):
-        rs_decode(xs, ys, 2, p, error_budget=0)
+        rs_decode(xs, ys, 2, p)
 
 
 def test_too_few_shares_rejected():
