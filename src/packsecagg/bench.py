@@ -103,16 +103,17 @@ def predict_comm(
 
     Layout recap (header = sender, recipient, round, length; every message
     ends with one signature; counts are u32 and field elements, floats and
-    the norm bound 8 bytes each):
+    the norm bound 8 bytes each; a commitment block is a u32 polynomial
+    count and a u16 element count, then every element in COMMITMENT_BYTES;
+    a sealed bundle is the receiver's share column, then one WITNESS_BYTES
+    slot per polynomial only under the constant scheme):
 
     * round 0, server to each client: type+iteration, model floats, reference
       norm, norm bound, roster ids, commitment block for the reference
-      shares, and a sealed box holding this client's share column + witness
-      block.
+      shares, and a sealed box holding this client's bundle.
     * rounds 1 and 2, each client: one broadcast commitment block (round 2
       appends a reported-ids list, empty when honest) that the server echoes
-      to all N clients, plus a sealed share column + witness block to each of
-      the N-1 peers.
+      to all N clients, plus a sealed bundle to each of the N-1 peers.
     * round 3, each client: final shares in the clear (two polynomials per
       re-share group); server replies with the roster, trust numerators, and
       denominator to every client.
@@ -122,9 +123,9 @@ def predict_comm(
     groups1 = -(-dim // pack)  # gradient polynomials per client
     groups2 = 2 * (-(-n // reshare_pack))  # dot + norm re-share polynomials
     if commitment == "coefficient":
-        commit_elems, witness_entry = degree + 1, 1  # witness-free: flag byte
+        commit_elems, witness_bytes = degree + 1, 0
     elif commitment == "constant":
-        commit_elems, witness_entry = 1, 1 + WITNESS_BYTES
+        commit_elems, witness_bytes = 1, WITNESS_BYTES
     else:
         raise ProtocolError(f"unknown commitment scheme {commitment!r}")
 
@@ -132,14 +133,14 @@ def predict_comm(
         return 4 + n_items * item_bytes  # u32 count, then the items
 
     def commit_blob(n_polys: int) -> int:
-        return counted(n_polys, 2 + commit_elems * COMMITMENT_BYTES)
+        return 6 + n_polys * commit_elems * COMMITMENT_BYTES  # u32 and u16 header, elements
 
     def wire(body: int) -> int:
         return HEADER_STRUCT.size + body + SIGNATURE_BYTES
 
     def sealed_column(n_polys: int) -> int:
-        # u32 box length, nonce, share column, witness block, tag
-        return 4 + GCM_NONCE_BYTES + counted(n_polys, 8) + counted(n_polys, witness_entry) + GCM_TAG_BYTES
+        # u32 box length, nonce, share column, witness slots, tag
+        return 4 + GCM_NONCE_BYTES + n_polys * (8 + witness_bytes) + GCM_TAG_BYTES
 
     type_iter = 5  # one type byte + four iteration bytes
 

@@ -35,6 +35,7 @@ import hashlib
 import math
 import struct
 import time
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
@@ -60,7 +61,7 @@ from .field import (
 )
 from .rsdecode import DecodingError
 from .sharing import SharingConfig, deserialize_elems, serialize_elems
-from .vss import CommitmentBatch, Witness, ints_to_limbs, limbs_to_ints, make_scheme
+from .vss import CommitmentBatch, limbs_to_ints, make_scheme
 
 BROADCAST = 0xFFFFFFFF
 
@@ -347,96 +348,72 @@ def _floats_blob(arr) -> bytes:
 COMMITMENT_BYTES = 32
 WITNESS_BYTES = 32
 
+# a commitment block starts with its polynomial count and elements per polynomial
+_COMMIT_HEADER = struct.Struct("<IH")
+
 
 def _commit_blob(comms: CommitmentBatch) -> bytes:
-    """Wire form of a commitment batch: a u32 count, then per polynomial a u16
-    element count and each element in COMMITMENT_BYTES little-endian bytes."""
+    """Wire form of a commitment batch of n polynomials with k elements
+    each: the `<IH` header (n, k), then the n*k elements in COMMITMENT_BYTES
+    little-endian bytes each."""
     width = COMMITMENT_BYTES
     n, k, n_limbs = comms.limbs.shape
     elem_bytes = comms.limbs.astype("<u8").view(np.uint8).reshape(n, k, 8 * n_limbs)
     if elem_bytes[:, :, width:].any():
         raise ProtocolError(f"commitment element wider than {width} bytes")
     cut = min(width, 8 * n_limbs)
-    rows = np.zeros(n, dtype=[("k", "<u2"), ("elems", np.uint8, (k, width))])
-    rows["k"] = k
-    rows["elems"][:, :, :cut] = elem_bytes[:, :, :cut]
-    return struct.pack("<I", n) + rows.tobytes()
+    elems = np.zeros((n, k, width), dtype=np.uint8)
+    elems[:, :, :cut] = elem_bytes[:, :, :cut]
+    return _COMMIT_HEADER.pack(n, k) + elems.tobytes()
 
 
 def _read_commit_limbs(r: _Reader) -> CommitmentBatch:
-    """Vectorized commitment-block parse to (n_polys, k, COMMITMENT_BYTES/8)
-    uint64 little-endian limbs.  Requires a uniform element count per
-    polynomial, which every scheme here produces."""
+    """Vectorized commitment-block parse to (n, k, COMMITMENT_BYTES/8)
+    uint64 little-endian limbs."""
     width = COMMITMENT_BYTES
-    n = r.u32()
-    if n == 0:
-        return CommitmentBatch(np.zeros((0, 0, width // 8), dtype=np.uint64))
-    r.need(2)
-    (k,) = struct.unpack_from("<H", r.buf, r.off)
-    stride = 2 + k * width
-    flat = np.frombuffer(r.raw(n * stride), dtype=np.uint8).reshape(n, stride)
-    if k and not (flat[:, :2].copy().view("<u2")[:, 0] == k).all():
-        raise ProtocolError("ragged commitment block")
-    limbs = flat[:, 2:].copy().view("<u8").reshape(n, k, width // 8)
+    n, k = _COMMIT_HEADER.unpack(r.raw(_COMMIT_HEADER.size))
+    limbs = np.frombuffer(r.raw(n * k * width), dtype="<u8").reshape(n, k, width // 8)
     return CommitmentBatch(limbs.astype(np.uint64))
 
 
 class _BundleLayout:
-    """The one plaintext form of a sealed share bundle in a dealing round.
-
-    A bundle is a u32 count and the receiver's `n_polys` field elements, then
-    the witness block: a u32 count and, per polynomial, a presence flag byte,
-    set and followed by a WITNESS_BYTES-wide element exactly when the scheme
-    needs witnesses.  Every bundle of a round has the same length and
-    the same count and flag bytes, so a receiver checks those and slices the
-    rest at fixed offsets."""
+    """The one plaintext form of a sealed share bundle in a dealing round:
+    the receiver's `n_polys` field elements, 8 bytes each, then, only under a
+    scheme that needs witnesses, `n_polys` witness slots of WITNESS_BYTES
+    each.  Every bundle of a round has the same length, so a receiver admits
+    a bundle by its length alone and slices it at fixed offsets."""
 
     def __init__(self, n_polys: int, needs_witness: bool):
         self.n_polys = n_polys
         self.width = WITNESS_BYTES if needs_witness else 0
-        self.count = struct.pack("<I", n_polys)
-        self.cols = slice(len(self.count), len(self.count) + 8 * n_polys)
-        self.flags_at = self.cols.stop + len(self.count)
-        self.flags = (b"\x01" if needs_witness else b"\x00") * n_polys
-        self.size = self.flags_at + n_polys * (1 + self.width)
-
-    def admits(self, plain: bytes) -> bool:
-        """Whether `plain` has this layout's length, counts and flags."""
-        return (
-            len(plain) == self.size
-            and plain.startswith(self.count)
-            and plain.startswith(self.count, self.cols.stop)
-            and plain[self.flags_at :: 1 + self.width] == self.flags
-        )
+        self.cols = slice(0, 8 * n_polys)
+        self.size = n_polys * (8 + self.width)
 
     def encode(self, shares: np.ndarray) -> np.ndarray:
         """(parties, size) uint8 array whose row j is the bundle of party
-        j + 1's column of the (n_polys, parties) `shares`, witness elements
+        j + 1's column of the (n_polys, parties) `shares`, witness slots
         left zero."""
         out = np.zeros((shares.shape[1], self.size), dtype=np.uint8)
-        count = np.frombuffer(self.count, dtype=np.uint8)
-        out[:, : self.cols.start] = count
         out[:, self.cols] = np.ascontiguousarray(shares.T, dtype="<u8").view(np.uint8)
-        out[:, self.cols.stop : self.flags_at] = count
-        out[:, self.flags_at :: 1 + self.width] = self.flags[0]
         return out
 
-    def put_witnesses(self, row: np.ndarray, wits: list[Witness]) -> None:
-        """Write `wits`' elements into one row of `encode`'s output."""
-        limbs = ints_to_limbs(np.array([w.element for w in wits], dtype=object), self.width // 8)
-        slots = row[self.flags_at :].reshape(self.n_polys, 1 + self.width)
-        slots[:, 1:] = limbs.astype("<u8").view(np.uint8)
+    def put_witnesses(self, row: np.ndarray, wits: np.ndarray) -> None:
+        """Write the uint64 `wits` into the witness slots of one row of
+        `encode`'s output."""
+        slots = row[self.cols.stop :].reshape(self.n_polys, self.width)
+        slots[:, :8] = np.asarray(wits, dtype="<u8")[:, None].view(np.uint8)
 
-    def read(self, plains: list[bytes]) -> tuple[np.ndarray, list[list[Witness]]]:
-        """(len(plains), n_polys) share matrix and each bundle's witnesses,
-        from plaintexts this layout admits."""
+    def read(self, plains: list[bytes], prime: int) -> tuple[np.ndarray, np.ndarray | None]:
+        """(len(plains), n_polys) share matrix and witness matrix, the slots
+        reduced mod `prime` (None without witnesses), from plaintexts of this
+        layout's size."""
         flat = np.frombuffer(b"".join(plains), dtype=np.uint8).reshape(len(plains), self.size)
         mat = np.ascontiguousarray(flat[:, self.cols]).view("<u8").astype(np.uint64, copy=False)
         if not self.width:
-            return mat, [[Witness()] * self.n_polys] * len(plains)
-        slots = flat[:, self.flags_at :].reshape(len(plains), self.n_polys, 1 + self.width)
-        limbs = np.ascontiguousarray(slots[:, :, 1:]).view("<u8")
-        return mat, [[Witness(v) for v in row] for row in limbs_to_ints(limbs).tolist()]
+            return mat, None
+        slots = flat[:, self.cols.stop :].reshape(len(plains), self.n_polys, self.width)
+        limbs = np.ascontiguousarray(slots).view("<u8")
+        return mat, (limbs_to_ints(limbs) % prime).astype(np.uint64)
 
 
 # every message body starts with its type and iteration and ends with the
@@ -597,7 +574,7 @@ class _Party:
             plain = plains[peer - 1]
             if layout.width:
                 if bad_witnesses:
-                    wits = [Witness(int(x)) for x in self._garbage_elems(layout.n_polys)]
+                    wits = self._garbage_elems(layout.n_polys)
                 else:
                     wits = self.scheme.open_batch(batch.coeffs, sharing.eval_point(peer))
                 layout.put_witnesses(plain, wits)
@@ -610,18 +587,40 @@ class ClientSession(_Party):
         super().__init__(cfg, party_id, crypto, directory)
         self.flags = flags or ClientFlags()
 
-    # -- round 0: model intake ---------------------------------------------
+    # -- intake of dealt shares (rounds 0, 1 and 2) --------------------------
 
-    def _unseal(self, sender: int, rnd: int, r: _Reader, aad: bytes, layout: _BundleLayout) -> bytes | None:
-        """The plaintext of the length-prefixed sealed box that ends `r`'s
-        message, if the box opens under `aad` and the plaintext has
-        `layout`'s form; else None."""
-        try:
-            sealed = r.last_blob()
-            plain = self.crypto.box_with(sender, self.directory).open_in(rnd, self.iteration, sealed, aad=aad)
-        except (ProtocolError, DecryptionError):
-            return None
-        return plain if layout.admits(plain) else None
+    def _open_bundles(self, rnd: int, n_polys: int, point: int, entries):
+        """Open, read, range-check and verify sealed share bundles.  Each
+        entry is (sender, reader, aad, commitments), where the reader's
+        message ends with the length-prefixed box that `sender` sealed under
+        `aad`.  A sender's column is kept if its box opens, has this round's
+        bundle size for `n_polys` polynomials, holds canonical shares, and
+        verifies at `point` against its commitments.  Returns (columns by
+        sender, the other senders)."""
+        layout = self._layout(n_polys)
+        bad, senders, plains, commits = [], [], [], []
+        for sender, r, aad, comms in entries:
+            try:
+                box = self.crypto.box_with(sender, self.directory)
+                plain = box.open_in(rnd, self.iteration, r.last_blob(), aad=aad)
+            except (ProtocolError, DecryptionError):
+                plain = None
+            if plain is None or len(plain) != layout.size:
+                bad.append(sender)
+            else:
+                senders.append(sender)
+                plains.append(plain)
+                commits.append(comms)
+        mat, wits = layout.read(plains, self.cfg.prime)
+        idx = np.flatnonzero(~(mat >= self.cfg.prime).any(axis=1))
+        oks = self.scheme.verify_batch(
+            [commits[i] for i in idx], point, mat[idx], None if wits is None else wits[idx]
+        )
+        cols = {senders[i]: mat[i] for i in idx[oks]}
+        bad.extend(s for s in senders if s not in cols)
+        return cols, bad
+
+    # -- round 0: model intake ---------------------------------------------
 
     def begin_iteration(self, iteration: int) -> None:
         self.iteration = iteration
@@ -651,17 +650,11 @@ class ClientSession(_Party):
             or not 1 <= roster0[0] <= roster0[-1] <= self.cfg.n_clients
         ):
             raise ProtocolAbort("roster is not an increasing list of known clients with this one")
-        layout = self._layout(self.cfg.n_poly)
-        plain = self._unseal(SERVER_ID, env.round, r, b"model", layout)
-        if plain is None:
-            raise ProtocolAbort("reference shares failed to open or do not fit the bundle layout")
-        (col,), wits = layout.read([plain])
-        if (col >= self.cfg.prime).any():
-            raise ProtocolAbort("non-canonical reference share")
         point = self.cfg.grad_cfg.eval_point(self.id)
-        if not self.scheme.verify_batch([commits], point, [col], wits)[0]:
-            raise ProtocolAbort("reference-gradient shares failed verification")
-        self.root_column = col
+        cols, _ = self._open_bundles(env.round, self.cfg.n_poly, point, [(SERVER_ID, r, b"model", commits)])
+        if SERVER_ID not in cols:
+            raise ProtocolAbort("reference shares failed to open, fit the bundle layout or verify")
+        self.root_column = cols[SERVER_ID]
         self.roster0 = roster0
 
     # -- dealing (rounds 1 and 2) -------------------------------------------
@@ -718,9 +711,7 @@ class ClientSession(_Party):
         if mine is None or mine.body != own_body:
             raise ProtocolAbort("own broadcast missing from the forwarded set")
         seen = sorted(bcast)
-        layout = self._layout(n_polys)
-        bad: list[int] = []
-        senders, plains = [], []
+        bad, entries = [], []
         for sender in seen:
             if sender == self.id:
                 continue
@@ -728,26 +719,13 @@ class ClientSession(_Party):
             r = None
             if env is not None and entry.commits is not None:
                 r = self._checked(env, DEAL_TYPES[rnd][1], self.id, bind=entry.digest)
-            plain = None if r is None else self._unseal(sender, rnd, r, entry.digest, layout)
-            if plain is None:
+            if r is None:
                 bad.append(sender)
             else:
-                senders.append(sender)
-                plains.append(plain)
-        mat, witnesses = layout.read(plains)
-        canonical = ~(mat >= self.cfg.prime).any(axis=1)
-        bad.extend(s for s, ok in zip(senders, canonical) if not ok)
-        idx = np.flatnonzero(canonical)
-        oks = self.scheme.verify_batch(
-            [bcast[senders[i]].commits for i in idx], point, mat[idx], [witnesses[i] for i in idx]
-        )
-        cols = {self.id: own}
-        for i, ok in zip(idx, oks):
-            if ok:
-                cols[senders[i]] = mat[i]
-            else:
-                bad.append(senders[i])
-        return seen, cols, sorted(bad)
+                entries.append((sender, r, entry.digest, entry.commits))
+        cols, failed = self._open_bundles(rnd, n_polys, point, entries)
+        cols[self.id] = own
+        return seen, cols, sorted(bad + failed)
 
     # -- round 1: deal gradient shares -------------------------------------
 
@@ -909,11 +887,11 @@ class ServerSession(_Party):
         if rnd == R_SHARE:
             self.layout = respondents
         if rnd == R_RESHARE:
-            votes: dict[int, int] = {}
-            for sender, reported in reports.items():
-                for uid in reported:
-                    if uid != sender:
-                        votes[uid] = votes.get(uid, 0) + 1
+            # one vote per reporter and target, for targets in the layout
+            layout = set(self.layout)
+            votes = Counter(
+                uid for sender, reported in reports.items() for uid in layout.intersection(reported) - {sender}
+            )
             self.excluded = sorted(
                 u for u, n in votes.items() if n > self.cfg.exclusion_votes
             )

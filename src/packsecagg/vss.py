@@ -35,13 +35,16 @@ uint64 exponent, the 256 powers g^(b * 2^(8 i)), 2,048 Python ints derived
 from the public (q, g) and cached per order.  An exponentiation is then eight
 lookups and their product mod q, taken over a whole array at once.
 
-`verify_batch` checks the share columns of many dealers against their batches
-in one call.  The rows of every well-formed dealer are stacked, and each
-scheme's check runs once over all of them: one Horner pass in the exponent
-whose quotient by the table power g^value must lie in the torsion subgroup,
-a cached set of (q-1)/p elements (real group), one matrix-vector product
-(exponents in the clear), or one field relation (constant scheme).  A dealer
-fails exactly when one of its rows does.  In the real group each receiver
+`open_batch` gives one uint64 witness per polynomial, zeros under the
+coefficient scheme, which needs none.  `verify_batch` checks the share
+columns of many dealers against their batches in one call; the constant
+scheme's also takes the witnesses as one (dealers, polynomials) uint64
+matrix, compared mod p.  The rows of every well-formed dealer are stacked,
+and each scheme's check runs once over all of them: one Horner pass in the
+exponent whose quotient by the table power g^value must lie in the torsion
+subgroup, a cached set of (q-1)/p elements (real group), one matrix-vector
+product (exponents in the clear), or one field relation (constant scheme).
+A dealer fails exactly when one of its rows does.  In the real group each receiver
 converts and checks its own batches; the public table is the only object
 receivers share.  The scalar `verify` methods are the reference these passes
 are tested against.
@@ -263,18 +266,9 @@ def ints_to_limbs(values: np.ndarray, n_limbs: int) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class Witness:
-    """Per-share opening data; None for schemes that need none."""
-
-    element: int | None = None
-
-
-def _well_formed(batch: CommitmentBatch, values, witnesses, width: int) -> bool:
-    """One committed polynomial of `width` elements, and one witness, per
-    share value."""
-    n = len(values)
-    return batch.limbs.shape[:2] == (n, width) and len(witnesses) == n
+def _well_formed(batch: CommitmentBatch, values, width: int) -> bool:
+    """One committed polynomial of `width` elements per share value."""
+    return batch.limbs.shape[:2] == (len(values), width)
 
 
 def _dealers_without_misses(misses: np.ndarray, sizes) -> np.ndarray:
@@ -318,10 +312,11 @@ class CoefficientScheme:
             return CommitmentBatch(coeff_mat[:, :, None])
         return CommitmentBatch(ints_to_limbs(g.exp_g_array(coeff_mat), (g.element_bytes + 7) // 8))
 
-    def open_batch(self, coeff_mat: np.ndarray, point: int) -> list[Witness]:
-        return [Witness()] * np.atleast_2d(coeff_mat).shape[0]
+    def open_batch(self, coeff_mat: np.ndarray, point: int) -> np.ndarray:
+        """No witness is needed: zeros, one per row polynomial."""
+        return np.zeros(np.atleast_2d(coeff_mat).shape[0], dtype=np.uint64)
 
-    def verify(self, comm: Commitment, point: int, value: int, witness: Witness | None = None) -> bool:
+    def verify(self, comm: Commitment, point: int, value: int, witness: int | None = None) -> bool:
         g = self.group
         acc = g.identity
         # Horner in the exponent: prod C_t^(x^t) == g^value
@@ -336,15 +331,14 @@ class CoefficientScheme:
 
     def verify_batch(self, batches, point: int, values, witnesses) -> np.ndarray:
         """Per dealer: whether each of its canonical share values at `point`
-        lies on the polynomial it committed.  Takes one `CommitmentBatch`, one
-        value array and one witness list per dealer; a dealer whose batch has
-        the wrong shape fails.  Every row of every dealer is checked exactly,
-        in one pass over all of them."""
+        lies on the polynomial it committed.  Takes one `CommitmentBatch` and
+        one value array per dealer, and the witness matrix that the constant
+        scheme needs (ignored here); a dealer whose batch has the wrong shape
+        fails.  Every row of every dealer is checked exactly, in one pass
+        over all of them."""
         width = self.max_degree + 1
         plain = isinstance(self.group, PlainGroup)
-        ok = np.array(
-            [_well_formed(b, v, w, width) for b, v, w in zip(batches, values, witnesses)], dtype=bool
-        )
+        ok = np.array([_well_formed(b, v, width) for b, v in zip(batches, values)], dtype=bool)
         if plain:
             # an element wider than one limb is no exponent in the clear
             for i in np.flatnonzero(ok):
@@ -409,9 +403,9 @@ class ConstantScheme:
         vals = fastops.matmul_mod(coeff_mat, self._powers[: coeff_mat.shape[1], None], self.prime)
         return CommitmentBatch(vals[:, :, None])
 
-    def open_batch(self, coeff_mat: np.ndarray, point: int) -> list[Witness]:
-        """Witnesses for every row polynomial at one evaluation point, via
-        synthetic division by (X - point), vectorized across rows."""
+    def open_batch(self, coeff_mat: np.ndarray, point: int) -> np.ndarray:
+        """Witnesses, one uint64 per row polynomial, at one evaluation point,
+        via synthetic division by (X - point), vectorized across rows."""
         coeff_mat = np.atleast_2d(fastops.as_elems(coeff_mat, self.prime))
         m, w = coeff_mat.shape
         p = self.prime
@@ -421,39 +415,32 @@ class ConstantScheme:
             quot[:, j] = carry
             carry = fastops.add_mod(coeff_mat[:, j], fastops.mul_mod(carry, np.uint64(point % p), p), p)
         vals = fastops.matmul_mod(quot, self._powers[: quot.shape[1], None], self.prime)
-        return [Witness(int(v)) for v in vals[:, 0]]
+        return vals[:, 0]
 
-    def verify(self, comm: Commitment, point: int, value: int, witness: Witness) -> bool:
-        if witness is None or witness.element is None:
-            return False
+    def verify(self, comm: Commitment, point: int, value: int, witness: int) -> bool:
         p = self.prime
         # e(C / g^v, g) == e(W, g^tau / g^point): in the trapdoor stand-in the
         # pairing multiplies exponents, so both sides are plain field values.
         lhs = (comm.elements[0] - value) % p
-        rhs = witness.element * ((int(self._tau_elem) - point) % p) % p
+        rhs = int(witness) * ((int(self._tau_elem) - point) % p) % p
         return lhs == rhs
 
     def verify_batch(self, batches, point: int, values, witnesses) -> np.ndarray:
         """Per dealer: whether each of its share values at `point` opens its
-        commitment with the matching witness (arguments as in
-        `CoefficientScheme.verify_batch`).  `verify`'s relation, checked on
-        the stacked rows of every dealer at once."""
-        ok = np.array(
-            [
-                _well_formed(b, v, w, 1) and all(x.element is not None for x in w)
-                for b, v, w in zip(batches, values, witnesses)
-            ],
-            dtype=bool,
-        )
+        commitment with the witness in the same place of `witnesses`, a
+        (dealers, polynomials) uint64 matrix compared mod p (other arguments
+        as in `CoefficientScheme.verify_batch`).  `verify`'s relation, checked
+        on the stacked rows of every dealer at once."""
+        ok = np.array([_well_formed(b, v, 1) for b, v in zip(batches, values)], dtype=bool)
         idx = np.flatnonzero(ok)
         if not idx.size:
             return ok
         p = self.prime
         comms = limbs_to_ints(np.concatenate([batches[i].limbs[:, 0] for i in idx])) % p
-        wits = np.array([x.element for i in idx for x in witnesses[i]], dtype=object) % p
+        wits = fastops.as_elems(np.concatenate([witnesses[i] for i in idx]), p)
         vals = fastops.as_elems(np.concatenate([values[i] for i in idx]), p)
         lhs = fastops.sub_mod(comms.astype(np.uint64), vals, p)
-        rhs = fastops.mul_mod(wits.astype(np.uint64), np.uint64((int(self._tau_elem) - point) % p), p)
+        rhs = fastops.mul_mod(wits, np.uint64((int(self._tau_elem) - point) % p), p)
         ok[idx] = _dealers_without_misses(lhs != rhs, [len(values[i]) for i in idx])
         return ok
 

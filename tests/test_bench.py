@@ -44,6 +44,25 @@ def test_predictor_matches_measured_counters_exactly():
     )
 
 
+# (N, M, pack, degree, commitment) -> predicted (client, server) bytes of one
+# honest iteration: the four perfbench workload shapes (byzantine's without
+# its faults) and criterion 9's packed point.  A wire change must edit these.
+GOLDEN_TOTALS = {
+    (40, 1600, 4, 16, "coefficient"): (9_892_938, 18_666_960),
+    (40, 320, 4, 16, "coefficient"): (2_366_538, 4_126_160),
+    (20, 80, 2, 8, "coefficient"): (407_258, 623_080),
+    (80, 160, 8, 32, "coefficient"): (3_547_178, 5_359_520),
+    (100, 100_000, 10, 40, "constant"): (113_408_538, 192_299_400),
+}
+
+
+@pytest.mark.parametrize("shape", list(GOLDEN_TOTALS), ids=str)
+def test_predicted_totals_match_the_pinned_bytes(shape):
+    n, dim, pack, degree, commitment = shape
+    plan = bench.predict_comm(n, dim, pack, pack, degree, commitment)
+    assert (plan.client_total, plan.server_total) == GOLDEN_TOTALS[shape]
+
+
 def test_byte_counts_independent_of_crypto_mode():
     fast = ProtocolConfig(n_clients=9, dim=16, pack=2, reshare_pack=2, degree=3,
                           commitment="constant", crypto_mode="fast")

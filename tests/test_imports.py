@@ -1,20 +1,23 @@
 """Every name a package module imports is read somewhere in that module, no
-package module draws unseeded randomness, and every defaulted parameter of
-the experiment and cost entry points is set by some call in the package.
+package module draws unseeded randomness, every defaulted parameter of the
+experiment and cost entry points is set by some call in the package, and
+every function, class and method the package defines is named somewhere.
 
 No linter runs on this repository, so these scans are the guards against dead
 imports, against an unseeded ``default_rng()``, which would make the metric
-digests vary from run to run, and against settings that only one value ever
-reaches, which should be constants.  ``__init__.py`` is skipped by the import
-scan: its imports are re-exports.
+digests vary from run to run, against settings that only one value ever
+reaches, which should be constants, and against definitions nothing uses.
+``__init__.py`` is skipped by the import scan: its imports are re-exports.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "packsecagg"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "packsecagg"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
@@ -122,3 +125,56 @@ def test_scan_sees_a_setting_no_call_passes():
 
 def test_package_sets_every_defaulted_setting():
     assert unset_defaults([p.read_text() for p in SOURCES], SETTINGS) == []
+
+
+def dead_definitions(defining: list[str], naming: list[str]) -> list[str]:
+    """Functions, classes and methods defined in `defining` whose name no
+    source in `naming` uses: as a name, an attribute, an imported name, or
+    an identifier inside a string literal that is not a docstring.  Its own
+    ``def`` or ``class`` line does not count, nor do comments; dunder
+    methods, which Python calls implicitly, are skipped."""
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    used: set[str] = set()
+    for source in naming:
+        tree = ast.parse(source)
+        docstrings = {
+            id(node.body[0].value)
+            for node in ast.walk(tree)
+            if isinstance(node, scopes) and node.body and isinstance(node.body[0], ast.Expr)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.update(node.name.split("."))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docstrings:
+                used.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return sorted(
+        node.name
+        for source in defining
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, scopes[1:]) and not node.name.startswith("__") and node.name not in used
+    )
+
+
+def test_scan_sees_a_definition_nothing_names():
+    module = '''
+class Kept:
+    def method(self): pass
+    def __len__(self): return 0
+class Gone:
+    "Gone is named only in its own docstring."
+def helper(): pass
+def orphan(): pass  # orphan
+Kept().method()
+'''
+    other = "from pkg import helper\nhooks = ('Kept.other',)\n"
+    assert dead_definitions([module], [module, other]) == ["Gone", "orphan"]
+    assert dead_definitions([module], [module, other, "x = 'orphan Gone'"]) == []
+
+
+def test_package_names_every_definition():
+    naming = [p.read_text() for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert dead_definitions([p.read_text() for p in SOURCES], naming) == []

@@ -364,6 +364,31 @@ def test_corrupted_share_link_cannot_frame_or_spread():
             assert res.numerators[u] == oracle.numerators[u]
 
 
+@pytest.mark.parametrize(
+    "reported,threshold", [([7] * 4, None), ([99], 0)], ids=["repeated target", "unknown target"]
+)
+def test_one_reporter_cannot_frame_through_its_report_list(reported, threshold):
+    # client 4 reports client 7 four times, past the exclusion threshold of
+    # 3, or names id 99, outside the layout, where one report would exceed
+    # a threshold of 0; before, each entry of the list counted as a vote
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3,
+                         report_threshold=threshold, seed=3)
+    server, clients = build_sessions(cfg)
+    honest = clients[4]._verify_bundles
+
+    def framing(*args):
+        seen, cols, _ = honest(*args)
+        return seen, cols, list(reported)
+
+    clients[4]._verify_bundles = framing
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, ServerMailbox(), 0, weights, grads, root)
+    assert clients[4].reported == reported
+    assert res.excluded == []
+    assert res.roster == list(range(1, 11))
+    assert_matches_oracle(res, grads, root, cfg.scale)
+
+
 def edit_and_resign(signer, sender, context_recipient, rnd, edit):
     """Mutation that applies `edit` to a body and signs the result again with
     the sender's own key, so the signature check cannot reject it."""
@@ -586,9 +611,9 @@ def test_relay_cut_that_breaks_the_envelope_framing_makes_a_non_respondent(rnd):
 
 
 def test_share_bundle_cut_after_its_witness_count_gets_its_dealer_voted_out():
-    # client 4 seals each peer its share column and the witness count, but
-    # no witness flag bytes; before, reading the first flag past the end of
-    # the bundle raised IndexError out of run_iteration
+    # client 4 seals each peer a count-prefixed share column and a witness
+    # count, a bundle of an earlier layout; before, reading the first witness
+    # flag past the end of the bundle raised IndexError out of run_iteration
     cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
     server, clients = build_sessions(cfg)
     dealer = clients[4]
@@ -608,86 +633,98 @@ def test_share_bundle_cut_after_its_witness_count_gets_its_dealer_voted_out():
     assert_matches_oracle(res, grads, root, cfg.scale, roster=res.roster)
 
 
-def reseal_share_bundle(clients, dealer, receiver, edit, trailer=b""):
-    """Mutation of `dealer`'s round-1 share message to `receiver`: open its
-    sealed bundle, apply `edit` to the plaintext, seal it again, put `trailer`
-    after the box, and sign the message again over the dealer's broadcast
-    digest, so that only the bundle layout stands between it and the
-    receiver."""
-    src, dst = clients[dealer], clients[receiver]
+def _box_offset(body, rnd):
+    """Offset of the u32 box length in a dealt message body without its
+    signature: after the model fields and the commitment block in round 0,
+    right after the header in the dealing rounds."""
+    r = _Reader(body, _HEADER.size)
+    if rnd == R_MODEL:
+        r.raw(8 * r.u32())  # weights
+        r.f64(), r.u64(), r.ids()
+        _read_commit_limbs(r)
+    return r.off
+
+
+def reseal_bundle(server, clients, intake, receiver, edit, trailer=b""):
+    """Mutation of the dealt message to `receiver` in `intake`: the server's
+    round-0 model message ("model") or client 4's round-1 share message
+    ("share").  It opens the sealed bundle, applies `edit` to the plaintext,
+    seals it again, puts `trailer` after the box, and signs the message again
+    (over the dealer's broadcast digest in round 1), so that only the bundle
+    layout stands between it and the receiver."""
+    if intake == "model":
+        dealer, src, rnd = SERVER_ID, server, R_MODEL
+    else:
+        dealer, src, rnd = 4, clients[4], R_SHARE
+    dst = clients[receiver]
 
     def mutate(wire):
         env = Envelope.from_wire(wire)
-        digest = hashlib.sha256(src.own_commit_body).digest()
-        sealed = env.body[_HEADER.size + 4 : len(env.body) - SIGNATURE_BYTES]
-        plain = dst.crypto.box_with(dealer, dst.directory).open_in(R_SHARE, 0, sealed, aad=digest)
-        sealed = src.crypto.box_with(receiver, src.directory).seal(R_SHARE, 0, edit(plain), aad=digest)
-        body = env.body[: _HEADER.size] + struct.pack("<I", len(sealed)) + sealed + trailer
-        sig = src.crypto.sign(_sig_context(dealer, receiver, R_SHARE, 0, body + digest))
+        aad = b"model" if rnd == R_MODEL else hashlib.sha256(src.own_commit_body).digest()
+        bind = b"" if rnd == R_MODEL else aad
+        body = env.body[: len(env.body) - SIGNATURE_BYTES]
+        at = _box_offset(body, rnd)
+        plain = dst.crypto.box_with(dealer, dst.directory).open_in(rnd, 0, body[at + 4 :], aad=aad)
+        sealed = src.crypto.box_with(receiver, src.directory).seal(rnd, 0, edit(plain), aad=aad)
+        body = body[:at] + struct.pack("<I", len(sealed)) + sealed + trailer
+        sig = src.crypto.sign(_sig_context(dealer, receiver, rnd, 0, body + bind))
         return Envelope(env.sender, env.recipient, env.round, body + sig).to_wire()
 
-    return mutate
+    return mutate, dealer, rnd
 
 
-def _put_u32(plain, at, value):
-    return plain[:at] + struct.pack("<I", value) + plain[at + 4 :]
-
-
-def _other_witness_block(p, n, witnesses):
-    block = b"\x00" * n if witnesses else (b"\x01" + bytes(32)) * n
-    return p[: 8 + 8 * n] + block
-
-
-# edits to a round-1 bundle plaintext of n polynomials: a u32 count and n
-# field elements, then a u32 witness count and n flag bytes, each followed by
-# a 32-byte witness element if the scheme has `witnesses`
+# edits to a bundle plaintext of n polynomials: n field elements, then n
+# 32-byte witness slots if the scheme has `witnesses`
 BUNDLE_EDITS = {
     "honest": lambda p, n, witnesses: p,
     "one byte short": lambda p, n, witnesses: p[:-1],
     "one byte long": lambda p, n, witnesses: p + b"\x00",
-    "one element more": lambda p, n, witnesses: _put_u32(
-        p[: 4 + 8 * n] + bytes(8) + p[4 + 8 * n :], 0, n + 1
-    ),
-    "one element fewer": lambda p, n, witnesses: _put_u32(
-        p[: 4 + 8 * (n - 1)] + p[4 + 8 * n :], 0, n - 1
-    ),
-    "element count off": lambda p, n, witnesses: _put_u32(p, 0, n + 1),
-    "witness count off": lambda p, n, witnesses: _put_u32(p, 4 + 8 * n, n + 1),
-    "non-canonical element": lambda p, n, witnesses: p[:4]
-    + struct.pack("<Q", struct.unpack_from("<Q", p, 4)[0] + MERSENNE61)
-    + p[12:],
-    "first flag flipped": lambda p, n, witnesses: p[: 8 + 8 * n]
-    + bytes([p[8 + 8 * n] ^ 1])
-    + p[9 + 8 * n :],
-    "other scheme's witness block": _other_witness_block,
+    "one element more": lambda p, n, witnesses: p[: 8 * n] + bytes(8) + p[8 * n :],
+    "one element fewer": lambda p, n, witnesses: p[: 8 * (n - 1)] + p[8 * n :],
+    "non-canonical element": lambda p, n, witnesses: struct.pack(
+        "<Q", struct.unpack_from("<Q", p)[0] + MERSENNE61
+    )
+    + p[8:],
+    "other scheme's witness block": lambda p, n, witnesses: p[: 8 * n]
+    + (b"" if witnesses else bytes(32 * n)),
 }
 TRAILING_BYTE = "trailing byte after the box"
 
 
+@pytest.mark.parametrize("intake", ["model", "share"])
 @pytest.mark.parametrize("scheme", ["coefficient", "constant"])
 @pytest.mark.parametrize("case", [*BUNDLE_EDITS, TRAILING_BYTE])
-def test_share_bundle_off_the_layout_is_reported(case, scheme):
-    # client 4 re-seals and re-signs its round-1 bundle to client 7 in each
-    # malformed form; only the honest bundle may pass.  A flipped flag is set
-    # under the witness-free coefficient scheme and clear under the constant
-    # scheme.  A full block of witness elements under the coefficient scheme
-    # used to be accepted and ignored.
+def test_share_bundle_off_the_layout_is_reported(case, scheme, intake):
+    # the server's round-0 bundle to client 7, or client 4's round-1 bundle
+    # to it, is re-sealed and re-signed in each malformed form; only the
+    # honest bundle may pass.  A full block of witness elements under the
+    # coefficient scheme used to be accepted and ignored.  A bad share
+    # bundle gets its dealer reported; a bad model bundle makes client 7 a
+    # non-respondent.
     cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3,
                          commitment=scheme, seed=3)
     server, clients = build_sessions(cfg)
     edit = BUNDLE_EDITS.get(case, BUNDLE_EDITS["honest"])
     trailer = b"\x00" if case == TRAILING_BYTE else b""
     witnesses = scheme == "constant"
-    mutate = reseal_share_bundle(clients, 4, 7, lambda p: edit(p, cfg.n_poly, witnesses), trailer)
-    rule = TamperRule(round=R_SHARE, sender=4, recipient=7, mutate=mutate)
+    mutate, dealer, rnd = reseal_bundle(
+        server, clients, intake, 7, lambda p: edit(p, cfg.n_poly, witnesses), trailer
+    )
+    rule = TamperRule(round=rnd, sender=dealer, recipient=7, mutate=mutate)
     weights, grads, root = make_inputs(cfg)
     res = run_iteration(cfg, server, clients, ServerMailbox(tamper_rules=[rule]), 0, weights, grads, root)
     assert rule.hits == 1
-    assert clients[7].reported == ([] if case == "honest" else [4])
-    assert all(clients[u].reported == [] for u in clients if u != 7)
     assert res.excluded == []
     if case == "honest":
+        assert all(clients[u].reported == [] for u in clients)
         assert_matches_oracle(res, grads, root, cfg.scale)
+    elif intake == "share":
+        assert clients[7].reported == [4]
+        assert all(clients[u].reported == [] for u in clients if u != 7)
+    else:
+        for r in (R_SHARE, R_RESHARE, R_FINAL, R_AGG):
+            assert 7 not in res.respondents[r]
+        assert_matches_oracle(res, grads, root, cfg.scale, roster=[u for u in grads if u != 7])
 
 
 def _resign_to_every_client(server, cfg, rnd, signed_for, edit):
@@ -775,9 +812,9 @@ def test_envelopes_for_a_silent_client_are_dropped_not_kept():
     for (_, rnd), n in mailbox.down_bytes.items():
         down[rnd] += n
     # per-round totals as metered before queued envelopes were dropped
-    assert up == {0: 17400, 1: 32940, 2: 32980, 3: 3456, 4: 1494}
-    assert down == {0: 17400, 1: 171540, 2: 156172, 3: 3456, 4: 1494}
-    assert (mailbox.bytes_up(4), mailbox.bytes_down(4)) == (6592, 17508)
+    assert up == {0: 17040, 1: 31140, 2: 31180, 3: 3456, 4: 1494}
+    assert down == {0: 17040, 1: 167940, 2: 152914, 3: 3456, 4: 1494}
+    assert (mailbox.bytes_up(4), mailbox.bytes_down(4)) == (6232, 17130)
     assert res.respondents[R_FINAL] == [u for u in range(1, 11) if u != 4]
 
 
@@ -880,10 +917,8 @@ def test_commit_blob_matches_per_element_encoding(kind, fast):
     scheme = make_scheme(kind, MERSENNE61, max_degree=5, fast=fast)
     coeffs = fastops.rand_elems(np.random.default_rng(4), (7, 6), MERSENNE61)
     comms = scheme.commit_batch(coeffs)
-    want = struct.pack("<I", len(comms)) + b"".join(
-        struct.pack("<H", len(c.elements))
-        + b"".join(int(e).to_bytes(COMMITMENT_BYTES, "little") for e in c.elements)
-        for c in comms
+    want = struct.pack("<IH", len(comms), len(comms[0].elements)) + b"".join(
+        int(e).to_bytes(COMMITMENT_BYTES, "little") for c in comms for e in c.elements
     )
     blob = _commit_blob(comms)
     assert blob == want
@@ -899,4 +934,4 @@ def test_commit_blob_refuses_an_element_wider_than_the_wire_width():
     with pytest.raises(ProtocolError, match="wider than 32 bytes"):
         _commit_blob(CommitmentBatch(limbs))
     limbs[1, 2, 4] = 0
-    assert len(_commit_blob(CommitmentBatch(limbs))) == 4 + 2 * (2 + 3 * 32)
+    assert len(_commit_blob(CommitmentBatch(limbs))) == 6 + 2 * 3 * 32
