@@ -11,10 +11,12 @@ bundle tamper-evident.
 
 Layers, bottom up:
 
-- ``field`` / ``fastops``: prime-field scalars and vectorized arrays,
+- ``field`` / ``poly``: prime-field scalars, exact polynomial and matrix
+  routines.
+- ``fastops``: vectorized arrays, the cached interpolation matrices,
   fixed-point quantization.
-- ``poly`` / ``sharing`` / ``rsdecode``: polynomials, packed Shamir dealing
-  and reconstruction, error-locating decoding.
+- ``sharing`` / ``rsdecode``: packed Shamir dealing and reconstruction,
+  error-locating decoding.
 - ``vss`` / ``channel``: commitment schemes, signed + sealed envelopes, and
   the metered server mailbox.
 - ``dotprod``: the share / multiply / re-share / reduce / decode pipeline.

@@ -12,10 +12,11 @@ twice gives its squared norm.
 The degree-2d products are brought back to degree d in one round: each holder
 re-shares its per-user partials (packed consecutively, p users per
 polynomial), and every holder then applies a public weight vector to the
-re-shares it received.  The weights are the sums, over the l secret slots, of
-the Lagrange extraction weights of the surviving holders' evaluation points,
-so the weighted combination is again a degree-d packed sharing, now of the
-complete per-user dot products.  A matrix form of the same extraction (shifted
+re-shares it received.  The weights are the row sums of the extraction matrix
+of the surviving holders' evaluation points (`fastops.extraction_matrix`, the
+Lagrange basis over those points evaluated at the l secret slots), so the
+weighted combination is again a degree-d packed sharing, now of the complete
+per-user dot products.  A matrix form of the same extraction (shifted
 Vandermonde inverse, first column) is provided as a cross-check.
 
 The final degree-d share vectors are Reed-Solomon codewords across holders;
@@ -25,12 +26,10 @@ in wrong values are both survivable and identifiable.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 from . import fastops
-from .poly import lagrange_weights_at, matinv_mod
+from .poly import matinv_mod
 from .rsdecode import DecodingError, rs_decode_batch
 from .sharing import ShareBatch, SharingConfig, share_batch
 
@@ -89,21 +88,9 @@ def partial_products(columns: np.ndarray, root_column: np.ndarray, p: int) -> tu
     return cs, nr
 
 
-@lru_cache(maxsize=256)
-def _reduction_weights(
-    prime: int, pack: int, points: tuple[int, ...]
-) -> np.ndarray:
-    """Summed Lagrange extraction weights over secret slots 1..pack for the
-    given surviving evaluation points."""
-    total = [0] * len(points)
-    for e in range(1, pack + 1):
-        w = lagrange_weights_at(list(points), e, prime)
-        total = [(a + b) % prime for a, b in zip(total, w)]
-    return np.array(total, dtype=np.uint64)
-
-
 def reduction_weights(grad_cfg: SharingConfig, senders: tuple[int, ...]) -> np.ndarray:
-    """Public combination weights, indexed like `senders` (party ids).
+    """Public combination weights, indexed like `senders` (party ids): the
+    row sums of the senders' extraction matrix at the secret slots.
 
     Valid whenever the senders can interpolate degree-2d products, i.e.
     len(senders) >= 2*degree + 1.
@@ -113,7 +100,8 @@ def reduction_weights(grad_cfg: SharingConfig, senders: tuple[int, ...]) -> np.n
             f"{len(senders)} senders cannot interpolate degree {2 * grad_cfg.degree}"
         )
     points = tuple(grad_cfg.eval_point(s) for s in senders)
-    return _reduction_weights(grad_cfg.prime, grad_cfg.pack, points)
+    extract = fastops.extraction_matrix(points, grad_cfg.secret_points, grad_cfg.prime)
+    return fastops.sum_mod(extract, grad_cfg.prime, axis=1)
 
 
 def reshare_partials(
@@ -154,7 +142,7 @@ def shifted_vandermonde(points: list[int], e: int, p: int) -> list[list[int]]:
 def extraction_weights_matrix(points: list[int], e: int, p: int) -> list[int]:
     """First column of the shifted Vandermonde inverse: applying it to share
     values yields the constant term of the shifted expansion, i.e. the value
-    at e.  Agrees with the Lagrange form used in production."""
+    at e.  Agrees with the column of `fastops.extraction_matrix` at e."""
     inv = matinv_mod(shifted_vandermonde(points, e, p), p)
     return [inv[t][0] for t in range(len(points))]
 

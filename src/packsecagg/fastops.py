@@ -1,30 +1,34 @@
 """Vectorized mod-p kernels on numpy uint64 arrays.
 
 numpy has no 128-bit integers, so products of 61-bit elements cannot be formed
-directly.  Three strategies, picked per modulus:
+directly.  Two strategies, picked per modulus:
 
-* p = 2^61 - 1: elementwise products split each factor into 31/30-bit halves
-  and use 2^61 = 1 (mod p), so every intermediate fits in uint64.  Matrix
-  products run on float64 BLAS in the style of FFLAS-FFPACK (Dumas, Giorgi,
-  Pernet, ACM TOMS 2008): the larger operand is split into 31/30-bit limbs,
-  the smaller into four 16-bit limbs, so that every partial sum over an inner
-  chunk stays below 2^53, where float64 arithmetic is exact.  The partial
-  sums are converted to uint64 and recombined by rotation, since a shift by
-  2^k mod p is a rotation of the 61 bits.  Sums add the 32-bit halves of the
-  elements in uint64 and reduce once.
-* p < 2^31: products fit uint64 directly; matrix products split one operand
-  into 16-bit limbs so row sums cannot overflow.
-* anything else: fall back to Python-int object arrays (correct, slow; only
-  exercised by tests).
+* p = 2^61 - 1, the share field of every workload: elementwise products split
+  each factor into 31/30-bit halves and use 2^61 = 1 (mod p), so every
+  intermediate fits in uint64.  Matrix products run on float64 BLAS in the
+  style of FFLAS-FFPACK (Dumas, Giorgi, Pernet, ACM TOMS 2008): the larger
+  operand is split into 31/30-bit limbs, the smaller into four 16-bit limbs,
+  so that every partial sum over an inner chunk stays below 2^53, where
+  float64 arithmetic is exact.  The partial sums are converted to uint64 and
+  recombined by rotation, since a shift by 2^k mod p is a rotation of the 61
+  bits.  Sums add the 32-bit halves of the elements in uint64 and reduce once.
+* any other prime: exact Python-int object arrays (correct, slow; only tests
+  and the small-field acceptance criteria run one).
+
+The interpolation matrices of the sharing and decoding layers are built here
+too, from `poly.lagrange_basis`, and cached per point set.
 
 Every kernel is checked against the scalar reference in `poly`/`field`.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .field import MERSENNE61
+from .poly import lagrange_basis
 
 _M61 = np.uint64(MERSENNE61)
 _MASK31 = np.uint64((1 << 31) - 1)
@@ -39,9 +43,6 @@ _SHIFTS16 = np.array([[0], [16], [32], [48]], dtype=np.uint64)
 # _M61_FOLD chunks, which keeps the accumulator below 2^62.
 _M61_CHUNK = 42
 _M61_FOLD = 256
-
-# Inner-dimension cap that keeps uint64 accumulation overflow-free for p < 2^31.
-_SMALL_MATMUL_MAX_INNER = 1 << 15
 
 
 def as_elems(values, p: int) -> np.ndarray:
@@ -84,8 +85,6 @@ def mul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     if p == MERSENNE61:
         a, b = np.broadcast_arrays(np.asarray(a, np.uint64), np.asarray(b, np.uint64))
         return _m61_mul(a, b)
-    if p < (1 << 31):
-        return (np.asarray(a, np.uint64) * np.asarray(b, np.uint64)) % np.uint64(p)
     obj = (np.asarray(a).astype(object) * np.asarray(b).astype(object)) % p
     return as_elems(obj, p)
 
@@ -112,20 +111,7 @@ def sum_mod(a: np.ndarray, p: int, axis=None) -> np.ndarray:
         lo = np.sum(arr & _MASK32, axis=axis, dtype=np.uint64)
         hi = np.sum(arr >> np.uint64(32), axis=axis, dtype=np.uint64)
         return _m61_reduce(_m61_reduce(lo) + _m61_shift(hi, 32))
-    # Chunk so that chunk_size * (p-1) < 2^64.
-    chunk = max(1, (1 << 63) // p)
-    if axis is None:
-        flat = arr.reshape(-1)
-        total = np.uint64(0)
-        for i in range(0, flat.size, chunk):
-            total = (total + np.sum(flat[i : i + chunk] % np.uint64(p), dtype=np.uint64) % np.uint64(p)) % np.uint64(p)
-        return total
-    arr = np.moveaxis(arr, axis, 0)
-    total = np.zeros(arr.shape[1:], dtype=np.uint64)
-    for i in range(0, arr.shape[0], chunk):
-        part = np.sum(arr[i : i + chunk] % np.uint64(p), axis=0, dtype=np.uint64) % np.uint64(p)
-        total = (total + part) % np.uint64(p)
-    return total
+    return as_elems(np.sum(arr.astype(object), axis=axis) % p, p)
 
 
 def _m61_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -162,12 +148,6 @@ def matmul_mod(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
     b = np.asarray(b, np.uint64)
     if p == MERSENNE61:
         return _m61_matmul(a, b)
-    inner = a.shape[-1]
-    if p < (1 << 31) and inner <= _SMALL_MATMUL_MAX_INNER:
-        pp = np.uint64(p)
-        hi = (a >> np.uint64(16)) @ b % pp
-        lo = (a & np.uint64(0xFFFF)) @ b % pp
-        return ((hi << np.uint64(16)) + lo) % pp
     obj = (a.astype(object) @ b.astype(object)) % p
     return as_elems(obj, p)
 
@@ -197,6 +177,27 @@ def poly_eval_many(coeff_mat: np.ndarray, xs, p: int) -> np.ndarray:
     coeff_mat = np.asarray(coeff_mat, np.uint64)
     v = vandermonde(xs, coeff_mat.shape[1], p)
     return matmul_mod(coeff_mat, v, p)
+
+
+@lru_cache(maxsize=256)
+def interp_matrix(xs: tuple[int, ...], p: int) -> np.ndarray:
+    """Read-only (n, n) map from values at the n distinct points xs to the
+    coefficients of their interpolant: (values @ M)[r] is its x^r
+    coefficient.  Row t holds the coefficients of the Lagrange basis
+    polynomial L_t, so M is the inverse of `vandermonde(xs, n, p)`."""
+    out = np.array(lagrange_basis(list(xs), p), dtype=np.uint64)
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=256)
+def extraction_matrix(xs: tuple[int, ...], targets: tuple[int, ...], p: int) -> np.ndarray:
+    """Read-only (len(xs), len(targets)) map from values at the distinct
+    points xs to their interpolant's values at `targets`: entry (t, j) is
+    L_t(targets[j])."""
+    out = matmul_mod(interp_matrix(xs, p), vandermonde(targets, len(xs), p), p)
+    out.flags.writeable = False
+    return out
 
 
 def rand_elems(rng: np.random.Generator, shape, p: int) -> np.ndarray:

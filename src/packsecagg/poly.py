@@ -1,8 +1,12 @@
 """Polynomial and dense linear algebra over a prime field.
 
 Coefficient vectors are lists of canonical field elements, lowest degree
-first.  Everything here is exact pure-Python integer arithmetic; these are the
-reference routines the vectorized kernels and the decoder are checked against.
+first.  Everything here is exact pure-Python integer arithmetic.
+
+Production code calls `lagrange_basis`, which builds every interpolation
+matrix, and `nullspace_vector` and `poly_divmod` for Berlekamp-Welch.
+`lagrange_weights_at`, `lagrange_coeffs`, `matinv_mod` and `matmul_mod_py` are
+references that the tests compare production paths and kernels against.
 """
 
 from __future__ import annotations

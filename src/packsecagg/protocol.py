@@ -39,6 +39,7 @@ from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
@@ -120,14 +121,15 @@ class ProtocolConfig:
     pack: int
     reshare_pack: int
     degree: int
-    prime: int = MERSENNE61
-    scale: int = DEFAULT_SCALE
     response_threshold: int | None = None  # K, minimum respondents per round
     report_threshold: int | None = None  # exclusion needs > this many reporters
-    max_norm: float = 2.0  # cap on the reference gradient norm
     crypto_mode: str = "fast"
     commitment: str = "coefficient"
     seed: int = 0
+    # the same for every run; class constants, readable as attributes
+    prime: ClassVar[int] = MERSENNE61
+    scale: ClassVar[int] = DEFAULT_SCALE
+    max_norm: ClassVar[float] = 2.0  # cap on the reference gradient norm
 
     def __post_init__(self):
         n, d = self.n_clients, self.degree
@@ -656,6 +658,7 @@ class ClientSession(_Party):
             raise ProtocolAbort("reference shares failed to open, fit the bundle layout or verify")
         self.root_column = cols[SERVER_ID]
         self.roster0 = roster0
+        self.roster0_ids = frozenset(roster0)
 
     # -- dealing (rounds 1 and 2) -------------------------------------------
 
@@ -682,12 +685,16 @@ class ClientSession(_Party):
 
     def _split_envs(self, envs: list[Envelope], rnd: int):
         """(checked broadcasts, direct share envelopes), each by sender; a
-        direct envelope is checked once its broadcast's digest is known."""
+        direct envelope is checked once its broadcast's digest is known.
+        Envelopes from senders outside the signed round-0 roster are dropped:
+        only roster clients deal, whatever else holds a key."""
         bcast_type, direct_type = DEAL_TYPES[rnd]
         bcast_kind, direct_kind = bytes((bcast_type,)), bytes((direct_type,))
         bcast: dict[int, _Broadcast] = {}
         direct: dict[int, Envelope] = {}
         for env in envs:
+            if env.sender not in self.roster0_ids:
+                continue
             kind = env.body[:1]
             if kind == bcast_kind:
                 entry = _MEMO.verify_broadcast(self, env, bcast_type)

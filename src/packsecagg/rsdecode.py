@@ -5,7 +5,10 @@ absent shares (erasures, simply omitted from the input) and E corrupted ones,
 the polynomial is recoverable whenever S + 2E + d + 1 <= n.  The decoder finds
 Q and L with Q(x_i) = y_i * L(x_i), deg Q <= d + e, deg L <= e, as a nonzero
 kernel vector of the induced linear system; the codeword polynomial is their
-exact quotient.  Honest inputs take a fast interpolate-and-verify path.
+exact quotient.  `rs_decode` runs Berlekamp-Welch alone: at the full error
+budget it returns a clean codeword too, since the kernel then holds (P*L, L)
+for the codeword polynomial P, and at budget zero it rejects an inconsistent
+one, since the kernel is then trivial.
 
 Batches of codewords over one point set (`rs_decode_batch`) are treated as an
 interleaved code.  A party that computes wrongly corrupts its whole column, so
@@ -16,20 +19,19 @@ decodes the first row left on its own, and erases that row's error positions.
 Each single-row decode erases at least one new wrong column, so while d + 1
 columns stay unerased a batch costs at most one Berlekamp-Welch run per
 distinct wrong column, however the errors are spread over the rows.  The
-result equals per-row decoding exactly.
+result equals per-row decoding exactly.  The vectorized pass is the only
+interpolate-and-check step: a row reaches `rs_decode` only after a pass
+rejected it, or once fewer than d + 1 columns stay unerased.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from . import fastops
 from .poly import (
-    lagrange_basis,
-    lagrange_coeffs,
     nullspace_vector,
     poly_deg,
     poly_divmod,
@@ -76,15 +78,6 @@ def rs_decode(xs: list[int], ys: list[int], degree: int, p: int) -> DecodeResult
     xs = [x % p for x in xs]
     ys = [y % p for y in ys]
 
-    # Fast path: interpolate the first degree+1 shares and verify the rest.
-    probe = lagrange_coeffs(xs[: degree + 1], ys[: degree + 1], p)
-    if poly_deg(probe) <= degree:
-        bad = [i for i in range(n) if poly_eval(probe, xs[i], p) != ys[i]]
-        if not bad:
-            return DecodeResult(probe, [])
-    if e_max == 0:
-        raise DecodingError("shares are inconsistent and no error budget remains")
-
     # Berlekamp-Welch at the full budget: unknowns are Q (deg <= degree+e)
     # and L (deg <= e); each share contributes Q(x) - y L(x) = 0.
     e = e_max
@@ -115,13 +108,6 @@ def rs_decode(xs: list[int], ys: list[int], degree: int, p: int) -> DecodeResult
     if len(bad) > e_max:
         raise DecodingError(f"{len(bad)} disagreeing shares exceed budget {e_max}")
     return DecodeResult(quot if quot else [0], bad)
-
-
-@lru_cache(maxsize=64)
-def _interp_matrix(head: tuple[int, ...], p: int) -> np.ndarray:
-    """Maps values at the `head` points to coefficients: (values @ M)[r] is
-    the x^r coefficient of their interpolant."""
-    return np.array(lagrange_basis(list(head), p), dtype=np.uint64)
 
 
 def rs_decode_batch(xs: list[int], ys_mat: np.ndarray, degree: int, p: int) -> list[DecodeResult]:
@@ -160,7 +146,7 @@ def rs_decode_batch(xs: list[int], ys_mat: np.ndarray, degree: int, p: int) -> l
     while todo.size:
         head = [i for i in range(n) if i not in erased][: degree + 1]
         if len(head) > degree:
-            interp = _interp_matrix(tuple(xs[i] for i in head), p)
+            interp = fastops.interp_matrix(tuple(xs[i] for i in head), p)
             coeff_mat = fastops.matmul_mod(rows[:, head], interp, p)
             wrong = fastops.poly_eval_many(coeff_mat, xs, p) != rows
             ok = wrong.sum(axis=1) <= budget

@@ -11,6 +11,10 @@ polynomial at doubled degree, which is what the dot-product pipeline exploits.
 
 Dealing is batched: one call shares every row of a secret matrix, and draws
 its shares and coefficients together, with a single modular matrix product.
+Both interpolation matrices here are `poly.lagrange_basis` in the cached array
+form of `fastops`: the dealing matrix holds the basis over the secret points,
+and `reconstruct` multiplies by the extraction matrix, the basis over the
+shareholders' points evaluated at the secret points.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import fastops
 from .field import is_probable_prime
-from .poly import lagrange_basis, lagrange_weights_at, poly_from_roots
+from .poly import poly_from_roots
 
 
 class ShareError(ValueError):
@@ -81,7 +85,7 @@ class SharingConfig:
         """
         p, d, l = self.prime, self.degree, self.pack
         coeffs = np.zeros((d + 1, d + 1), dtype=np.uint64)
-        coeffs[:l, :l] = lagrange_basis(list(self.secret_points), p)
+        coeffs[:l, :l] = fastops.interp_matrix(self.secret_points, p)
         z = poly_from_roots(list(self.secret_points), p)
         for r in range(d - l + 1):
             coeffs[l + r, r : r + l + 1] = z
@@ -151,14 +155,11 @@ def reconstruct(
     if len(parties) < d + 1:
         raise ShareError(f"need {d + 1} shares for degree {d}, got {len(parties)}")
     p = config.prime
-    xs = [config.eval_point(j) for j in parties]
-    wmat = np.array(
-        [lagrange_weights_at(xs, e, p) for e in config.secret_points], dtype=np.uint64
-    ).T  # (n_points, pack)
+    xs = tuple(config.eval_point(j) for j in parties)
     vals = fastops.as_elems(np.atleast_2d(values), p)
     if vals.shape[1] != len(parties):
         raise ShareError("one value per shareholder required")
-    out = fastops.matmul_mod(vals, wmat, p)
+    out = fastops.matmul_mod(vals, fastops.extraction_matrix(xs, config.secret_points, p), p)
     return out[0] if np.ndim(values) == 1 else out
 
 

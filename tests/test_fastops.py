@@ -1,11 +1,11 @@
-"""Vectorized kernels vs the scalar reference, across all modulus strategies."""
+"""Vectorized kernels vs the scalar reference, across both modulus strategies."""
 
 import numpy as np
 import pytest
 
 from packsecagg import fastops
 from packsecagg.field import MERSENNE61, is_probable_prime
-from packsecagg.poly import matmul_mod_py, poly_eval
+from packsecagg.poly import lagrange_weights_at, matmul_mod_py, poly_eval
 
 
 def _find_prime_above(n: int) -> int:
@@ -14,7 +14,8 @@ def _find_prime_above(n: int) -> int:
     return n
 
 
-# One modulus per strategy: Mersenne path, small direct path, object fallback.
+# The Mersenne path, then three primes for the exact Python-int path: the
+# small acceptance field F_31, the largest 31-bit prime, and one near 2^40.
 MODULI = [MERSENNE61, 31, 2**31 - 1, _find_prime_above(2**40)]
 
 
@@ -77,6 +78,16 @@ def test_poly_eval_many(p):
     for r in range(4):
         for j, x in enumerate(xs):
             assert int(got[r, j]) == poly_eval([int(c) for c in coeffs[r]], x, p)
+
+
+@pytest.mark.parametrize("p", MODULI)
+def test_extraction_matrix_matches_the_lagrange_reference(p):
+    xs, targets = (4, 5, 7, 9, 12), (1, 2, 3)
+    m = fastops.extraction_matrix(xs, targets, p)
+    for j, e in enumerate(targets):
+        assert m[:, j].tolist() == lagrange_weights_at(list(xs), e, p)
+    # cached, so callers must not write into them
+    assert not m.flags.writeable and not fastops.interp_matrix(xs, p).flags.writeable
 
 
 def test_powers_and_vandermonde():

@@ -1,7 +1,9 @@
 """Every name a package module imports is read somewhere in that module, no
 package module draws unseeded randomness, every defaulted parameter of the
-experiment and cost entry points is set by some call in the package, and
-every function, class and method the package defines is named somewhere.
+experiment and cost entry points is set by some call in the package, every
+defaulted field of ``ProtocolConfig`` is set by some call in the package, its
+tests or its benchmark, and every function, class and method the package
+defines is named somewhere.
 
 No linter runs on this repository, so these scans are the guards against dead
 imports, against an unseeded ``default_rng()``, which would make the metric
@@ -82,10 +84,17 @@ SETTINGS = (
 )
 
 
+# dataclasses whose defaulted fields must each be set by some call in the
+# package, its tests or its benchmark
+CONFIGS = ("ProtocolConfig",)
+
+
 def unset_defaults(sources: list[str], names) -> list[str]:
     """``function.parameter`` for each defaulted parameter of a function in
     `names` that no call in `sources` passes, by keyword or by position, and
-    ``function: no definition`` for a name that `sources` do not define."""
+    ``function: no definition`` for a name that `sources` do not define.  A
+    class in `names` is read as a dataclass: its parameters are its annotated
+    fields in order, skipping ``ClassVar`` constants."""
     trees = [ast.parse(source) for source in sources]
     defaulted: dict[str, dict[str, int | None]] = {}
     for node in (n for tree in trees for n in ast.walk(tree)):
@@ -96,6 +105,13 @@ def unset_defaults(sources: list[str], names) -> list[str]:
             params = {p.arg: i for i, p in enumerate(positional) if i >= first}
             params.update((p.arg, None) for p, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None)
             defaulted[node.name] = params
+        elif isinstance(node, ast.ClassDef) and node.name in names:
+            fields = [
+                stmt
+                for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign) and "ClassVar" not in ast.unparse(stmt.annotation)
+            ]
+            defaulted[node.name] = {f.target.id: i for i, f in enumerate(fields) if f.value is not None}
     passed: set[tuple[str, str]] = set()
     for node in (n for tree in trees for n in ast.walk(tree)):
         if not isinstance(node, ast.Call):
@@ -121,6 +137,28 @@ def test_scan_sees_a_setting_no_call_passes():
     )
     assert unset_defaults([source], ("f", "g", "h")) == ["f.c", "f.d", "g.x", "h: no definition"]
     assert unset_defaults([source, "g(1)\nf(0, 1, 2, d=3)\n"], ("f", "g")) == []
+
+
+def test_scan_sees_a_config_field_no_call_passes():
+    source = (
+        "@dataclass\n"
+        "class C:\n"
+        "    a: int\n"
+        "    b: int = 1\n"
+        "    k: ClassVar[int] = 5\n"
+        "    c: str = 'x'\n"
+        "    d: float = 2.0\n"
+        "    def method(self, e=0): pass\n"
+        "C(0, 2)\n"
+        "C(a=0, **extra)\n"
+    )
+    assert unset_defaults([source], ("C",)) == ["C.c", "C.d"]
+    assert unset_defaults([source, "C(0, 1, 'y')\nC(a=1, d=0.5)\n"], ("C",)) == []
+
+
+def test_every_config_field_is_set_somewhere():
+    sources = [p.read_text() for d in ("src", "tests", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))]
+    assert unset_defaults(sources, CONFIGS) == []
 
 
 def test_package_sets_every_defaulted_setting():

@@ -10,12 +10,13 @@ the configured thresholds.
 
 import hashlib
 import struct
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from packsecagg import fastops
+from packsecagg import dotprod, fastops
 from packsecagg.channel import (
     MAX_ITERATIONS,
     SERVER_ID,
@@ -32,6 +33,7 @@ from packsecagg.protocol import (
     BROADCAST,
     COMMITMENT_BYTES,
     ClientFlags,
+    ClientSession,
     ProtocolAbort,
     ProtocolConfig,
     ProtocolError,
@@ -43,6 +45,7 @@ from packsecagg.protocol import (
     T_COMMIT,
     _HEADER,
     _commit_blob,
+    _ids_blob,
     _read_commit_limbs,
     _Reader,
     _sig_context,
@@ -52,7 +55,7 @@ from packsecagg.protocol import (
     run_iteration,
     trust_numerator,
 )
-from packsecagg.sharing import deserialize_elems, serialize_elems
+from packsecagg.sharing import SharingConfig, deserialize_elems, reconstruct, serialize_elems, share_batch
 from packsecagg.vss import CommitmentBatch, ints_to_limbs, limbs_to_ints, make_scheme
 
 BASE = dict(n_clients=20, dim=64, pack=4, reshare_pack=4, degree=8, seed=3)
@@ -313,6 +316,37 @@ def test_wrong_computation_is_corrected_and_attributed():
     assert res.roster == list(range(1, 21))
     assert res.excluded == []
     assert res.offenders == [4, 5, 6]
+    assert_matches_oracle(res, grads, root, cfg.scale)
+
+
+def test_production_paths_never_call_the_reference_interpolators(monkeypatch):
+    # `lagrange_weights_at` and `lagrange_coeffs` are test references: with
+    # every module binding of them made to raise, reconstruction, the
+    # degree-reduction weights and an iteration that decodes a wrong
+    # computation must still succeed
+    def refuse(*_args):
+        raise AssertionError("a reference interpolator ran on a production path")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "packsecagg":
+            for ref in ("lagrange_weights_at", "lagrange_coeffs"):
+                if hasattr(module, ref):
+                    monkeypatch.setattr(module, ref, refuse)
+    p = MERSENNE61
+    sharing = SharingConfig(p, n_parties=11, pack=3, degree=5)
+    secrets = np.arange(12, dtype=np.uint64).reshape(4, 3) * 1000
+    batch = share_batch(sharing, secrets, np.random.default_rng(5))
+    parties = [2, 3, 5, 7, 8, 10]
+    got = reconstruct(sharing, parties, batch.shares[:, [j - 1 for j in parties]])
+    assert np.array_equal(got, secrets)
+    senders = (1, 2, 4, 5, 6, 7, 8, 9, 10, 11, 12)
+    grad_cfg = SharingConfig(p, n_parties=12, pack=2, degree=5)
+    points = [grad_cfg.eval_point(s) for s in senders]
+    want = [sum(col) % p for col in zip(*(dotprod.extraction_weights_matrix(points, e, p) for e in (1, 2)))]
+    assert dotprod.reduction_weights(grad_cfg, senders).tolist() == want
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    res, grads, root, _ = run_once(cfg, {6: ClientFlags(wrong_computation=True)})
+    assert res.offenders == [6]
     assert_matches_oracle(res, grads, root, cfg.scale)
 
 
@@ -781,6 +815,51 @@ def test_trust_message_with_a_numerator_missing_aborts():
     with pytest.raises(ProtocolAbort, match=f"round {R_AGG}: 0 respondents"):
         run_iteration(cfg, server, clients, ServerMailbox(tamper_rules=rules), 0, weights, grads, root)
     assert all(rule.hits == 1 for rule in rules)
+
+
+def relay_deals_as_party_zero(server, cfg, rounds):
+    """Make the relay deal in each of `rounds` after forwarding the clients'
+    broadcasts: a commitment broadcast and a sealed bundle for every client,
+    built as a client builds them but signed and sealed with the server's
+    keys as sender 0, which is in the key directory."""
+    forward = server.forward_commits
+    server.flags = ClientFlags()
+
+    def forward_and_deal(mailbox, rnd):
+        respondents = forward(mailbox, rnd)
+        if rnd in rounds:
+            if rnd == R_SHARE:
+                sharing, n_polys, trailer = cfg.grad_cfg, cfg.n_poly, b""
+            else:
+                # the bundle size the clients expect once the relay is in the layout
+                n_polys = 2 * dotprod.group_width(len(server.layout) + 1, cfg.reshare_pack)
+                sharing, trailer = cfg.reshare_cfg, _ids_blob([])
+            secrets = np.zeros((n_polys, sharing.pack), dtype=np.uint64)
+            batch = share_batch(sharing, secrets, np.random.default_rng(rnd))
+            envs, _, _ = ClientSession._deal(server, rnd, sharing, batch, trailer)
+            for env in envs:
+                for peer in server.roster0 if env.recipient == SERVER_ID else [env.recipient]:
+                    mailbox.forward(env, peer)
+        return respondents
+
+    server.forward_commits = forward_and_deal
+
+
+@pytest.mark.parametrize("rounds", [(R_SHARE,), (R_SHARE, R_RESHARE)], ids=["round 1", "rounds 1 and 2"])
+def test_a_relay_dealing_as_party_zero_is_ignored(rounds):
+    # the server's signature verifies and id 0 has keys, but 0 is not in the
+    # signed round-0 roster; before, clients took the relay into their
+    # layout, so the iteration aborted in round 3 (round 1 alone) or
+    # `reduction_weights` raised ShareError for party 0 (both rounds)
+    cfg = ProtocolConfig(n_clients=10, dim=20, pack=2, reshare_pack=2, degree=3, seed=3)
+    server, clients = build_sessions(cfg)
+    relay_deals_as_party_zero(server, cfg, rounds)
+    weights, grads, root = make_inputs(cfg)
+    res = run_iteration(cfg, server, clients, ServerMailbox(), 0, weights, grads, root)
+    assert res.roster == list(range(1, 11))
+    assert res.offenders == [] and res.excluded == []
+    assert all(clients[u].layout == list(range(1, 11)) for u in clients)
+    assert_matches_oracle(res, grads, root, cfg.scale)
 
 
 def test_too_many_wrong_computations_abort_naming_the_round():

@@ -18,7 +18,7 @@ def test_max_errors():
     assert max_errors(5, 5) == 0
 
 
-def test_clean_decode_fast_path():
+def test_clean_codeword_decodes_with_no_error_positions():
     p = 127
     coeffs = [3, 0, 5, 9]
     xs = list(range(1, 11))
@@ -52,14 +52,18 @@ def test_zero_polynomial_and_constant():
     assert res.coeffs == [9]
 
 
-def test_error_budget_zero_rejects_corruption():
-    # 4 points at degree 2 leave a budget of max_errors(4, 2) == 0
+def test_error_budget_zero_accepts_a_clean_codeword_and_rejects_corruption():
+    # 4 points at degree 2 leave a budget of max_errors(4, 2) == 0: the
+    # Berlekamp-Welch kernel holds (P, 1) for a clean codeword and is
+    # trivial for an inconsistent one
     p = 127
     coeffs = [1, 2, 3]
     xs = list(range(1, 5))
     ys = _codeword(coeffs, xs, p)
-    ys[2] = (ys[2] + 1) % p
     assert max_errors(len(xs), 2) == 0
+    res = rs_decode(xs, ys, 2, p)
+    assert res.coeffs == coeffs and res.error_positions == []
+    ys[2] = (ys[2] + 1) % p
     with pytest.raises(DecodingError):
         rs_decode(xs, ys, 2, p)
 
